@@ -13,8 +13,10 @@ run-enumeration oracle over the same reply nondeterminism.
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .isa import (
@@ -38,18 +40,28 @@ from .vm import MachineConfig, Scripted, Status, step
 AuxPredicate = Callable[[BasicInstruction], bool]
 
 
+#: Weights that do not depend on the aux predicate.
+_FIXED_WEIGHT = {FwdJump: 1, BwdJump: 1, RegSet: 1, IndFwdJump: 2, IndBwdJump: 2, Halt: 0}
+_BASIC_KINDS = (Plain, PosTest, NegTest)
+
+
 def id_weight(u: Instruction, aux: AuxPredicate) -> int:
     """Internal-delay weight of one instruction occurrence."""
-    match u:
-        case Plain(b) | PosTest(b) | NegTest(b):
-            return 1 if aux(b) else 0
-        case FwdJump() | BwdJump() | RegSet():
-            return 1
-        case IndFwdJump() | IndBwdJump():
-            return 2
-        case Halt():
-            return 0
+    w = _FIXED_WEIGHT.get(type(u))
+    if w is not None:
+        return w
+    if type(u) in _BASIC_KINDS:
+        return 1 if aux(u.basic) else 0
     raise TypeError(f"not an instruction: {u!r}")
+
+
+def _position_weights(p: Program, aux: AuxPredicate) -> list[int]:
+    """id_weight per 1-based position; index 0 is unused."""
+    out = [0]
+    for u in p.instructions:
+        w = _FIXED_WEIGHT.get(type(u))
+        out.append((1 if aux(u.basic) else 0) if w is None else w)
+    return out
 
 
 class StateNode(NamedTuple):
@@ -63,111 +75,172 @@ class StateLimitExceeded(RuntimeError):
         super().__init__(f"state graph exceeds the configured limit of {limit} nodes")
 
 
-def node_successors(
-    p: Program, node: StateNode
-) -> tuple[str, tuple[StateNode | None, ...]]:
-    """Role-tagged successors of a state under nondeterministic replies.
+# Successor rules of one program position, decoded once per build: no
+# successor (halt or deadlock), one or two fixed pc steps, a register set,
+# an indirect jump.
+_STOP, _STEP, _TEST, _SET, _IND = range(5)
+_NO_SUCCESSOR = (_STOP, 0, 0)
 
-    Returns (kind, branches): kind is 'halt', 'test' or 'next'.  Tests list
-    (on-true, on-false); every other kind lists its single continuation.
-    None marks an outcome that deadlocks.
-    """
-    length = len(p)
-    pc, regs = node
-    u = p.at(pc)
 
-    def goto(target: int | None) -> StateNode | None:
-        if target is None or target < 1 or target > length:
-            return None
-        return StateNode(target, regs)
+def _decode_test(pos: int, length: int, on_true: int, on_false: int):
+    # The pc+2 branch needs pc+2 in the program, the pc+1 branch pc+1.
+    if pos + 2 <= length:
+        return (_TEST, on_true, on_false)
+    return (_STEP, 1, 0) if pos < length else _NO_SUCCESSOR
 
-    match u:
-        case Halt():
-            return "halt", ()
-        case Plain():
-            return "next", (goto(pc + 1),)
-        case PosTest():
-            return "test", (goto(pc + 1), goto(pc + 2))
-        case NegTest():
-            return "test", (goto(pc + 2), goto(pc + 1))
-        case FwdJump(l):
-            return "next", (goto(pc + l if l > 0 else None),)
-        case BwdJump(l):
-            return "next", (goto(pc - l if l > 0 else None),)
-        case RegSet(i, n):
-            new_regs = regs[: i - 1] + (n,) + regs[i:]
-            if pc + 1 > length:
-                return "next", (None,)
-            return "next", (StateNode(pc + 1, new_regs),)
-        case IndFwdJump(i):
-            l = regs[i - 1]
-            return "next", (goto(pc + l if l > 0 else None),)
-        case IndBwdJump(i):
-            l = regs[i - 1]
-            return "next", (goto(pc - l if l > 0 else None),)
-    raise TypeError(f"not an instruction: {u!r}")
+
+#: type(u) -> (u, pos, length, place) -> (rule, a, b): the successors of
+#: position `pos` as state-code deltas, or the register place value and
+#: operand for _SET/_IND.  `place(i)` is register i's place value in the
+#: state code.  An outcome that deadlocks is dropped.
+_DECODERS = {
+    Halt: lambda u, pos, length, place: _NO_SUCCESSOR,
+    Plain: lambda u, pos, length, place: (_STEP, 1, 0) if pos < length else _NO_SUCCESSOR,
+    PosTest: lambda u, pos, length, place: _decode_test(pos, length, 1, 2),
+    NegTest: lambda u, pos, length, place: _decode_test(pos, length, 2, 1),
+    FwdJump: lambda u, pos, length, place: (
+        (_STEP, u.distance, 0) if 0 < u.distance <= length - pos else _NO_SUCCESSOR
+    ),
+    BwdJump: lambda u, pos, length, place: (
+        (_STEP, -u.distance, 0) if 0 < u.distance < pos else _NO_SUCCESSOR
+    ),
+    RegSet: lambda u, pos, length, place: (
+        (_SET, place(u.register), u.value) if pos < length else _NO_SUCCESSOR
+    ),
+    IndFwdJump: lambda u, pos, length, place: (_IND, place(u.register), 1),
+    IndBwdJump: lambda u, pos, length, place: (_IND, place(u.register), -1),
+}
 
 
 @dataclass
 class StateGraph:
-    """Reachable closure from (pc=1, all registers 0); edges in BFS order."""
+    """Reachable closure from (pc=1, all registers 0), integer-coded.
+
+    Node ids are dense, in BFS discovery order.  Node i is the state
+    `codes[i] = regs_code * (len(program) + 1) + pc`, where `regs_code`
+    holds the registers in base `radix` = maxn + 1, register 1 least
+    significant.  Its successors are `targets[offsets[i]:offsets[i + 1]]`
+    in branch order: a test lists on-true before on-false, and an outcome
+    that deadlocks has no entry.  `edges`, `terminated` and `deadlocked`
+    decode the graph to StateNodes on first use.
+    """
 
     program: Program
-    initial: StateNode
-    edges: dict[StateNode, tuple[StateNode, ...]]
-    terminated: frozenset[StateNode]
-    deadlocked: frozenset[StateNode]
-
-    @property
-    def nodes(self):
-        return self.edges.keys()
+    maxr: int
+    radix: int
+    codes: list[int]
+    offsets: array
+    targets: array
 
     @property
     def node_count(self) -> int:
-        return len(self.edges)
+        return len(self.codes)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.edges.values())
+        return len(self.targets)
 
-    def weight(self, node: StateNode, aux: AuxPredicate) -> int:
-        return id_weight(self.program.at(node.pc), aux)
+    def pcs(self) -> list[int]:
+        """The pc of every node, by id."""
+        base = len(self.program) + 1
+        return [c % base for c in self.codes]
+
+    def successors(self, i: int) -> array:
+        """Successor ids of node i, in branch order."""
+        return self.targets[self.offsets[i]:self.offsets[i + 1]]
+
+    def node(self, i: int) -> StateNode:
+        regs_code, pc = divmod(self.codes[i], len(self.program) + 1)
+        regs = []
+        for _ in range(self.maxr):
+            regs_code, v = divmod(regs_code, self.radix)
+            regs.append(v)
+        return StateNode(pc, tuple(regs))
+
+    @cached_property
+    def state_nodes(self) -> list[StateNode]:
+        """Every node decoded, by id."""
+        return [self.node(i) for i in range(len(self.codes))]
+
+    @cached_property
+    def edges(self) -> dict[StateNode, tuple[StateNode, ...]]:
+        nodes = self.state_nodes
+        return {n: tuple(nodes[t] for t in self.successors(i)) for i, n in enumerate(nodes)}
+
+    @cached_property
+    def terminated(self) -> frozenset[StateNode]:
+        ins = self.program.instructions
+        return frozenset(n for n in self.state_nodes if type(ins[n.pc - 1]) is Halt)
+
+    @cached_property
+    def deadlocked(self) -> frozenset[StateNode]:
+        """States with an outcome that leaves the program or reads a zero
+        jump distance: fewer successors than the instruction has branches."""
+        ins, offsets = self.program.instructions, self.offsets
+        branches = {Halt: 0, PosTest: 2, NegTest: 2}
+        return frozenset(
+            n
+            for i, n in enumerate(self.state_nodes)
+            if offsets[i + 1] - offsets[i] < branches.get(type(ins[n.pc - 1]), 1)
+        )
 
 
 def build_state_graph(p: Program, params: ToolParams) -> StateGraph:
     diags = validate(p, params)
     if diags:
         raise ValueError("invalid program: " + "; ".join(map(str, diags)))
-    initial = StateNode(1, (0,) * params.maxr)
-    edges: dict[StateNode, tuple[StateNode, ...]] = {}
-    terminated: set[StateNode] = set()
-    deadlocked: set[StateNode] = set()
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {initial.registers: initial.registers}
-    queue: deque[StateNode] = deque([initial])
-    seen = {initial}
-    while queue:
-        node = queue.popleft()
-        kind, branches = node_successors(p, node)
-        succs = []
-        if kind == "halt":
-            terminated.add(node)
+    length = len(p)
+    base = length + 1
+    radix = params.maxn + 1
+    limit = params.state_limit
+
+    def place(register: int) -> int:
+        return base * radix ** (register - 1)
+
+    rules = [_NO_SUCCESSOR] + [
+        _DECODERS[type(u)](u, pos, length, place) for pos, u in enumerate(p.instructions, 1)
+    ]
+
+    codes = [1]  # pc 1, all registers 0
+    ids = {1: 0}
+    ids_get = ids.get
+    add_code = codes.append
+    offsets = array("l", [0])
+    add_offset = offsets.append
+    targets = array("l")
+    push = targets.append
+    for code in codes:  # grows while iterated: a FIFO in discovery order
+        pc = code % base
+        r, a, b = rules[pc]
+        if r == _STEP:
+            t = code + a
+        elif r == _TEST:
+            t = code + a  # the first branch here, the second below
+            j = ids_get(t)
+            if j is None:
+                j = ids[t] = len(codes)
+                if j >= limit:
+                    raise StateLimitExceeded(limit)
+                add_code(t)
+            push(j)
+            t = code + b
+        elif r == _SET:
+            t = code + (b - code // a % radix) * a + 1
+        elif r == _IND:
+            d = code // a % radix * b
+            t = code + d if d and 1 <= pc + d <= length else None
         else:
-            if any(b is None for b in branches):
-                deadlocked.add(node)
-            for b in branches:
-                if b is None:
-                    continue
-                regs = interned.setdefault(b.registers, b.registers)
-                if regs is not b.registers:
-                    b = StateNode(b.pc, regs)
-                succs.append(b)
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        edges[node] = tuple(succs)
-        if len(seen) > params.state_limit:
-            raise StateLimitExceeded(params.state_limit)
-    return StateGraph(p, initial, edges, frozenset(terminated), frozenset(deadlocked))
+            t = None
+        if t is not None:
+            j = ids_get(t)
+            if j is None:
+                j = ids[t] = len(codes)
+                if j >= limit:
+                    raise StateLimitExceeded(limit)
+                add_code(t)
+            push(j)
+        add_offset(len(targets))
+    return StateGraph(p, params.maxr, radix, codes, offsets, targets)
 
 
 @dataclass(frozen=True)
@@ -205,215 +278,182 @@ class MidResult:
         return self.value.value if isinstance(self.value, Finite) else None
 
 
-def _find_cycle(
-    nodes: set[StateNode], edges: dict[StateNode, tuple[StateNode, ...]]
-) -> tuple[StateNode, ...] | None:
-    """Any cycle in the induced subgraph, as a node tuple, else None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(nodes, WHITE)
-    for root in nodes:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[StateNode, int]] = [(root, 0)]
-        path: list[StateNode] = []
-        while stack:
-            node, idx = stack.pop()
-            if idx == 0:
-                color[node] = GRAY
-                path.append(node)
-            succs = [t for t in edges[node] if t in nodes]
-            if idx < len(succs):
-                stack.append((node, idx + 1))
-                t = succs[idx]
-                if color[t] == GRAY:
-                    return tuple(path[path.index(t):])
-                if color[t] == WHITE:
-                    stack.append((t, 0))
-            else:
-                color[node] = BLACK
-                path.pop()
-    return None
-
-
 def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
-    p = graph.program
-    wpc = [0] + [id_weight(p.at(pos), aux) for pos in p.positions()]
-    edges = graph.edges
+    """MID by one iterative Tarjan SCC pass over the from-anchor region.
 
-    anchors = [n for n in edges if wpc[n.pc] == 0]
+    The region is every positive-weight state reachable from an anchor
+    through positive-weight states.  A region state *closes* when it can
+    reach an anchor inside the region; closing states are the interiors
+    of run segments.  Tarjan (1972) finishes SCCs in reverse topological
+    order, so each finished SCC sees its successors' results already set:
+
+    * a non-trivial closing SCC is a positive cycle with anchors on both
+      sides, so MID is Unbounded;
+    * a non-trivial SCC that does not close pumps weight into a run that
+      never meets an anchor again, so the open tail is unbounded;
+    * a single state gets its longest interior weight to an anchor (the
+      segment DP) and its longest never-closing continuation (the
+      open-tail DP), each the first maximum over successors in edge order.
+    """
+    base = len(graph.program) + 1
+    wpc = _position_weights(graph.program, aux)
+    w = [wpc[c % base] for c in graph.codes]
+    offsets, targets = graph.offsets, graph.targets
+    node = graph.node
+
+    anchors = [i for i, x in enumerate(w) if not x]
     if not anchors:
         return MidResult(Finite(0), (), no_anchor=True)
 
-    # Nonzero-weight region reachable from an anchor without touching
-    # another zero-weight node, with parents for witness stems.
-    parent: dict[StateNode, StateNode] = {}
-    frontier: deque[StateNode] = deque()
+    n = len(w)
+    done = n + 1  # `low` of a state whose SCC is finished
+    index = [0] * n  # DFS number, 0 = unvisited
+    low = [0] * n
+    best_from = [-1] * n  # segment DP; -1 = does not close
+    best_next = [-1] * n
+    tail = [-1] * n  # open-tail DP; -1 = every continuation closes
+    counter = 0
+    stack: list[int] = []
+    canonical = n  # lowest state in a non-trivial closing SCC
+    canonical_scc: list[int] = []
+    pumping = False  # some non-trivial SCC exists
+
     for a in anchors:
-        for s in edges[a]:
-            if wpc[s.pc] > 0 and s not in parent:
-                parent[s] = a
-                frontier.append(s)
-    reach_from = set(parent)
-    while frontier:
-        n = frontier.popleft()
-        for t in edges[n]:
-            if wpc[t.pc] > 0 and t not in reach_from:
-                reach_from.add(t)
-                parent[t] = n
-                frontier.append(t)
+        for root in targets[offsets[a]:offsets[a + 1]]:
+            if not w[root] or index[root]:
+                continue
+            counter += 1
+            index[root] = low[root] = counter
+            stack.append(root)
+            work = [(root, offsets[root])]
+            while work:
+                v, i = work[-1]
+                end = offsets[v + 1]
+                while i < end:
+                    t = targets[i]
+                    i += 1
+                    if not w[t]:
+                        continue
+                    if not index[t]:
+                        work[-1] = (v, i)
+                        counter += 1
+                        index[t] = low[t] = counter
+                        stack.append(t)
+                        work.append((t, offsets[t]))
+                        break
+                    if low[t] < low[v]:
+                        low[v] = low[t]
+                else:
+                    work.pop()
+                    if low[v] == index[v]:
+                        # v roots an SCC.  Every rule moves the pc, so
+                        # a state never succeeds itself: a lone state is
+                        # acyclic and takes the two DPs.
+                        lo = offsets[v]
+                        if stack[-1] == v:
+                            stack.pop()
+                            low[v] = done
+                            best = chosen = cont = -1
+                            for t in targets[lo:end]:
+                                if not w[t]:
+                                    cand = 0
+                                else:
+                                    cand = best_from[t]
+                                    if tail[t] > cont:
+                                        cont = tail[t]
+                                if cand > best:
+                                    best, chosen = cand, t
+                            if best >= 0:
+                                best_from[v] = w[v] + best
+                                best_next[v] = chosen
+                            if lo == end:
+                                tail[v] = w[v]
+                            elif cont >= 0:
+                                tail[v] = w[v] + cont
+                        else:
+                            pos = len(stack) - 1
+                            while stack[pos] != v:
+                                pos -= 1
+                            scc = stack[pos:]
+                            del stack[pos:]
+                            # A cycle: MID or the open tail is unbounded.
+                            for x in scc:
+                                low[x] = done
+                            pumping = True
+                            closes = any(
+                                not w[t] or best_from[t] > 0
+                                for x in scc
+                                for t in targets[offsets[x]:offsets[x + 1]]
+                            )
+                            if closes:
+                                for x in scc:
+                                    best_from[x] = 1
+                                if min(scc) < canonical:
+                                    canonical, canonical_scc = min(scc), scc
+                    if work:
+                        u = work[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
 
-    # Nonzero nodes that can reach an anchor through nonzero nodes.
-    rev: dict[StateNode, list[StateNode]] = {}
-    end_nodes = []
-    for n in reach_from:
-        closes = False
-        for t in edges[n]:
-            if wpc[t.pc] > 0:
-                if t in reach_from:
-                    rev.setdefault(t, []).append(n)
-            else:
-                closes = True
-        if closes:
-            end_nodes.append(n)
-    reach_to: set[StateNode] = set(end_nodes)
-    frontier = deque(end_nodes)
-    while frontier:
-        n = frontier.popleft()
-        for u in rev.get(n, ()):
-            if u not in reach_to:
-                reach_to.add(u)
-                frontier.append(u)
+    def decode(ids) -> tuple[StateNode, ...]:
+        return tuple(node(i) for i in ids)
 
-    segment_nodes = reach_from & reach_to
-
-    cycle = _find_cycle(segment_nodes, edges)
-    if cycle is not None:
-        c0 = cycle[0]
-        stem = _walk_parents(parent, wpc, c0)
-        exit_path = _exit_to_anchor(edges, wpc, segment_nodes, c0)
-        witness = stem + cycle[1:] + (c0,) + exit_path[1:]
-        tail = _open_tail(edges, wpc, anchors, reach_from, segment_nodes, assume_acyclic=False)
+    if canonical_scc:
+        # The shortest cycle through c0, a stem to it from the anchors as
+        # their region BFS first reaches it, and the shortest exit.
+        c0 = canonical
+        succ = graph.successors
+        cycle = _bfs_path(succ, [c0], c0.__eq__, set(canonical_scc).__contains__)[:-1]
+        stem = _bfs_path(succ, anchors, c0.__eq__, w.__getitem__)
+        exit_path = _bfs_path(succ, [c0], lambda t: not w[t], lambda t: best_from[t] > 0)
         return MidResult(
-            Unbounded(), witness, stem=stem, cycle=cycle, exit_path=exit_path,
-            open_tail=tail[0], open_tail_unbounded=tail[1],
+            Unbounded(),
+            decode(stem + cycle[1:] + [c0] + exit_path[1:]),
+            stem=decode(stem),
+            cycle=decode(cycle),
+            exit_path=decode(exit_path),
+            open_tail_unbounded=True,
         )
 
-    # Acyclic case: longest interior-weight path from anchor successors
-    # back to an anchor, by DP in reverse topological order.
-    order = _topological(segment_nodes, edges)
-    best_from: dict[StateNode, int] = {}
-    best_next: dict[StateNode, StateNode | None] = {}
-    for n in reversed(order):
-        best: int | None = None
-        chosen: StateNode | None = None
-        for t in edges[n]:
-            if wpc[t.pc] == 0:
-                cand = 0
-                nxt = t
-            elif t in segment_nodes:
-                cand = best_from[t]
-                nxt = t
-            else:
-                continue
-            if best is None or cand > best:
-                best, chosen = cand, nxt
-        assert best is not None  # n reaches an anchor by construction
-        best_from[n] = wpc[n.pc] + best
-        best_next[n] = chosen
-
     mid = 0
-    arg: tuple[StateNode, StateNode] | None = None
+    arg = None
+    open_tail = 0
     for a in anchors:
-        for s in edges[a]:
-            if s in segment_nodes and best_from[s] > mid:
+        for s in targets[offsets[a]:offsets[a + 1]]:
+            if best_from[s] > mid:
                 mid = best_from[s]
                 arg = (a, s)
-
+            if tail[s] > open_tail:
+                open_tail = tail[s]
     if arg is None:
-        witness = (anchors[0],)
+        witness = decode(anchors[:1])
     else:
-        a, s = arg
-        chain = [a, s]
-        while wpc[chain[-1].pc] > 0:
+        chain = list(arg)
+        while w[chain[-1]]:
             chain.append(best_next[chain[-1]])
-        witness = tuple(chain)
-
-    tail = _open_tail(edges, wpc, anchors, reach_from, segment_nodes, assume_acyclic=True)
-    return MidResult(Finite(mid), witness, open_tail=tail[0], open_tail_unbounded=tail[1])
-
-
-def _walk_parents(parent, wpc, node: StateNode) -> tuple[StateNode, ...]:
-    path = [node]
-    while wpc[path[-1].pc] > 0:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
+        witness = decode(chain)
+    if pumping:
+        return MidResult(Finite(mid), witness, open_tail_unbounded=True)
+    return MidResult(Finite(mid), witness, open_tail=open_tail)
 
 
-def _exit_to_anchor(edges, wpc, region, start: StateNode) -> tuple[StateNode, ...]:
-    prev = {start: None}
-    queue = deque([start])
+def _bfs_path(succ, sources, goal, allowed) -> list[int]:
+    """Shortest path from a source through `allowed` states to the first
+    `goal` state found, by BFS from the sources in order, edges in order."""
+    prev = dict.fromkeys(sources)
+    queue = deque(sources)
     while queue:
-        n = queue.popleft()
-        for t in edges[n]:
-            if wpc[t.pc] == 0:
-                path = [t, n]
+        v = queue.popleft()
+        for t in succ(v):
+            if goal(t):
+                path = [t, v]
                 while prev[path[-1]] is not None:
                     path.append(prev[path[-1]])
-                return tuple(reversed(path))
-            if t in region and t not in prev:
-                prev[t] = n
+                return path[::-1]
+            if allowed(t) and t not in prev:
+                prev[t] = v
                 queue.append(t)
-    raise AssertionError("region node cannot reach an anchor")
-
-
-def _topological(nodes: set[StateNode], edges) -> list[StateNode]:
-    indeg = dict.fromkeys(nodes, 0)
-    for n in nodes:
-        for t in edges[n]:
-            if t in indeg:
-                indeg[t] += 1
-    queue = deque(n for n, d in indeg.items() if d == 0)
-    order = []
-    while queue:
-        n = queue.popleft()
-        order.append(n)
-        for t in edges[n]:
-            if t in indeg:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
-    assert len(order) == len(nodes)
-    return order
-
-
-def _open_tail(edges, wpc, anchors, reach_from, segment_nodes, assume_acyclic):
-    """Max weight of a nonzero path from an anchor that never closes.
-
-    Returns (value, unbounded).  Paths pumping a cycle that cannot reach an
-    anchor never close, so any cycle in the from-anchor region outside the
-    segment region makes the open tail unbounded.
-    """
-    tail_region = reach_from
-    if not tail_region:
-        return 0, False
-    if _find_cycle(tail_region - segment_nodes, edges) is not None:
-        return 0, True
-    if not assume_acyclic and _find_cycle(tail_region, edges) is not None:
-        return 0, True
-    best: dict[StateNode, int | None] = {}
-    for n in reversed(_topological(tail_region, edges)):
-        succs = edges[n]
-        if not succs:
-            best[n] = wpc[n.pc]
-            continue
-        cont = [best[t] for t in succs if wpc[t.pc] > 0 and best.get(t) is not None]
-        best[n] = wpc[n.pc] + max(cont) if cont else None
-    out = 0
-    for a in anchors:
-        for s in edges[a]:
-            if wpc[s.pc] > 0 and best.get(s) is not None:
-                out = max(out, best[s])
-    return out, False
+    raise AssertionError("no path to a goal state")
 
 
 def brute_force_mid(p: Program, params: ToolParams, depth: int) -> int:

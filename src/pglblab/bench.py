@@ -3,12 +3,12 @@
 One row per k: generate, measure MID, run both projections (threading the
 specialized output), re-verify equivalence on a seeded oracle set, and
 record lengths, delays, state-graph size, and per-phase wall time.  Rows
+run one after another, so no row's timings include another's work, and
 are deterministic apart from the wall-clock columns.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .analyzer import Finite, StateLimitExceeded, build_state_graph, compute_mid
@@ -146,12 +146,11 @@ def bench_family(kmax: int, params: ToolParams | None = None) -> list[BenchRow]:
 
     `params`, when given, supplies aux/stepLimit/stateLimit/cellInit; maxr
     and maxn always come from the family itself.  Rows are computed
-    concurrently but returned in k order.
+    sequentially, in k order.
     """
     if not 1 <= kmax <= 8:
         raise ValueError("kmax must be in 1..8")
-    with ThreadPoolExecutor(max_workers=min(4, kmax)) as pool:
-        return list(pool.map(lambda k: _bench_one(k, params), range(1, kmax + 1)))
+    return [_bench_one(k, params) for k in range(1, kmax + 1)]
 
 
 def to_csv(rows: list[BenchRow]) -> str:

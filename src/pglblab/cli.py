@@ -49,6 +49,7 @@ from .vm import (
     OracleExhausted,
     Scripted,
     Seeded,
+    UnknownCellMethod,
     parse_oracle_script,
     run,
     trace_text,
@@ -334,6 +335,11 @@ def _cmd_check(args) -> int:
     return 1
 
 
+#: `check` enumerates every reply prefix up to --depth branches, so its
+#: time grows exponentially with the depth.
+MAX_CHECK_DEPTH = 16
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pglblab",
@@ -395,7 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="observable-equivalence check of two programs")
     sp.add_argument("p")
     sp.add_argument("q")
-    sp.add_argument("--depth", type=int, default=10, help="exhaustive oracle branch depth")
+    sp.add_argument(
+        "--depth", type=int, default=10, choices=range(MAX_CHECK_DEPTH + 1),
+        metavar=f"0..{MAX_CHECK_DEPTH}", help="exhaustive oracle branch depth",
+    )
     add_param_flags(sp)
     sp.set_defaults(handler=_cmd_check)
 
@@ -414,6 +423,9 @@ def main(argv=None) -> int:
         return 1
     except StateLimitExceeded as e:
         print(f"pglblab: {e}", file=sys.stderr)
+        return 1
+    except UnknownCellMethod as e:
+        print(f"pglblab: unknown method {e} on a Boolean cell", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"pglblab: {e}", file=sys.stderr)

@@ -46,10 +46,15 @@ class FamilyParams:
         return ToolParams(**defaults)
 
 
+#: Largest family index: member 16 has 786436 instructions, and the
+#: length quadruples with every further step of 2.
+MAX_FAMILY_K = 16
+
+
 def gen_scaling_family(k: int) -> tuple[Program, FamilyParams]:
     """The k-th member of the selection family; length is 12*2^k + 4."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= MAX_FAMILY_K:
+        raise ValueError(f"k must be in 1..{MAX_FAMILY_K}")
     n = 2 ** k
     test = BasicInstruction("bool1", "get")
     out: list[Instruction] = []

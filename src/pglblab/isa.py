@@ -342,17 +342,17 @@ def validate(p: Program, params: ToolParams) -> list[Diagnostic]:
     jumps are legal programs that deadlock at run time.
     """
     out: list[Diagnostic] = []
-    for pos in p.positions():
-        u = p.at(pos)
-        reg = None
-        match u:
-            case RegSet(i, n):
-                reg = i
-                if n > params.maxn:
-                    out.append(Diagnostic(pos, f"register literal {n} exceeds maxn={params.maxn}"))
-            case IndFwdJump(i) | IndBwdJump(i):
-                reg = i
-        if reg is not None and reg > params.maxr:
+    for pos, u in enumerate(p.instructions, 1):
+        kind = type(u)
+        if kind is RegSet:
+            reg = u.register
+            if u.value > params.maxn:
+                out.append(Diagnostic(pos, f"register literal {u.value} exceeds maxn={params.maxn}"))
+        elif kind is IndFwdJump or kind is IndBwdJump:
+            reg = u.register
+        else:
+            continue
+        if reg > params.maxr:
             out.append(Diagnostic(pos, f"register index {reg} exceeds maxr={params.maxr}"))
     return out
 

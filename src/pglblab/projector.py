@@ -25,7 +25,6 @@ from .analyzer import (
     StateNode,
     build_state_graph,
     compute_mid,
-    node_successors,
 )
 from .isa import (
     AuxSpec,
@@ -140,6 +139,9 @@ def _jump(from_pos: int, to_pos: int) -> Instruction:
 
 _DEADLOCK = FwdJump(0)
 
+#: Output block length per instruction kind in `specialize`; 1 otherwise.
+_BLOCK_SIZE = {Plain: 2, PosTest: 3, NegTest: 3}
+
 
 def specialize(p: Program, params: ToolParams) -> ProjectionReport:
     """Unfold the reachable state graph into a register-free program.
@@ -150,57 +152,52 @@ def specialize(p: Program, params: ToolParams) -> ProjectionReport:
     outcomes become '#0'.  Only reachable states are emitted.
     """
     graph = build_state_graph(p, params)
-    order = list(graph.edges)
-    sizes = {}
-    for node in order:
-        match p.at(node.pc):
-            case Halt():
-                sizes[node] = 1
-            case Plain():
-                sizes[node] = 2
-            case PosTest() | NegTest():
-                sizes[node] = 3
-            case _:
-                sizes[node] = 1
-    starts = {}
+    ins = p.instructions
+    pcs = graph.pcs()
+    sizes = [_BLOCK_SIZE.get(type(ins[pc - 1]), 1) for pc in pcs]
+    starts = []
     at = 1
-    for node in order:
-        starts[node] = at
-        at += sizes[node]
+    for size in sizes:
+        starts.append(at)
+        at += size
 
-    def succ_jump(from_pos: int, target: StateNode | None) -> Instruction:
+    def succ_jump(from_pos: int, target: int | None) -> Instruction:
         if target is None:
             return _DEADLOCK
         return _jump(from_pos, starts[target])
 
     out: list[Instruction] = []
-    for node in order:
-        u = p.at(node.pc)
-        base = starts[node]
-        kind, branches = node_successors(p, node)
-        match u:
-            case Halt():
-                out.append(u)
-            case Plain():
-                out.append(u)
-                out.append(succ_jump(base + 1, branches[0]))
-            case PosTest():
-                on_true, on_false = branches
-                out.append(u)
-                out.append(succ_jump(base + 1, on_true))
-                out.append(succ_jump(base + 2, on_false))
-            case NegTest():
-                on_true, on_false = branches
-                out.append(u)
-                out.append(succ_jump(base + 1, on_false))
-                out.append(succ_jump(base + 2, on_true))
-            case _:
-                # Direct jumps keep their role; register sets and indirect
-                # jumps resolve against the state and become direct jumps.
-                out.append(succ_jump(base, branches[0]))
+    for i, pc in enumerate(pcs):
+        u = ins[pc - 1]
+        base = starts[i]
+        succs = graph.successors(i)
+        kind = type(u)
+        if kind is Halt:
+            out.append(u)
+        elif kind is Plain:
+            out.append(u)
+            out.append(succ_jump(base + 1, succs[0] if succs else None))
+        elif kind is PosTest or kind is NegTest:
+            # For either test sign, the copied test proceeds to base+1 on
+            # the reply that sends the source to pc+1, and skips to base+2
+            # on the other.  A test keeps the registers, so a successor's
+            # pc tells which branch it is.
+            proceed = skip = None
+            for t in succs:
+                if pcs[t] == pc + 1:
+                    proceed = t
+                else:
+                    skip = t
+            out.append(u)
+            out.append(succ_jump(base + 1, proceed))
+            out.append(succ_jump(base + 2, skip))
+        else:
+            # Direct jumps keep their role; register sets and indirect
+            # jumps resolve against the state and become direct jumps.
+            out.append(succ_jump(base, succs[0] if succs else None))
 
     output = Program(tuple(out))
-    relocation = RelocationMap({node: (starts[node], sizes[node]) for node in order})
+    relocation = RelocationMap(dict(zip(graph.state_nodes, zip(starts, sizes))))
     mid_before = compute_mid(graph, params.aux)
     mid_after = compute_mid(build_state_graph(output, params), params.aux)
     return ProjectionReport(
@@ -238,7 +235,8 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
     b bits; an indirect jump becomes a balanced decision tree testing bits
     most-significant-first whose 2^b leaves are direct jumps to the
     relocated targets, in ascending value order; value 0 and out-of-range
-    targets deadlock.
+    targets deadlock.  Raises ValueError, before emitting anything, when
+    the output would be longer than params.state_limit.
     """
     diags = validate(p, params)
     if diags:
@@ -267,6 +265,13 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
     for pos in range(1, length + 1):
         starts[pos] = at
         at += sizes[pos]
+    if at - 1 > params.state_limit:
+        # The tree size grows as 2^bits with bits from maxn: refuse before
+        # emitting, with the limit that bounds the other constructions.
+        raise ValueError(
+            f"dispatch output of {at - 1} instructions exceeds the state limit "
+            f"of {params.state_limit}"
+        )
 
     aux_used: set[BasicInstruction] = set()
 

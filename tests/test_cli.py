@@ -208,3 +208,49 @@ def test_gen_random_is_reproducible(capsys):
     code, second, _ = invoke(capsys, "gen", "random", "--seed", "7", "--len", "12")
     assert first == second
     assert len(parse_program(first).instructions) == 12
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_unknown_cell_method_is_one_line_diagnostic(tmp_path, capsys, command):
+    prog = tmp_path / "p.pglb"
+    prog.write_text("bool1.foo ; !\n")
+    argv = [command, str(prog)] + ([str(prog)] if command == "check" else [])
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: unknown method foo on a Boolean cell\n"
+
+
+def test_gen_family_rejects_large_k(capsys):
+    code, stdout, stderr = invoke(capsys, "gen", "family", "--k", "40")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: k must be in 1..16\n"
+
+
+@pytest.mark.parametrize("depth", ["-1", "17", "1000"])
+def test_check_depth_out_of_range_is_usage_error(tmp_path, capsys, depth):
+    prog = tmp_path / "p.pglb"
+    prog.write_text("f.m ; !\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(prog), str(prog), "--depth", depth])
+    assert exc.value.code == 2
+    assert "0..16" in capsys.readouterr().err
+
+
+def test_check_depth_bounds_are_accepted(tmp_path, capsys):
+    prog = tmp_path / "p.pglb"
+    prog.write_text("+f.m ; ! ; !\n")
+    for depth in ("0", "16"):
+        code, stdout, _ = invoke(capsys, "check", str(prog), str(prog), "--depth", depth)
+        assert code == 0 and stdout.startswith("equivalent")
+
+
+def test_dispatch_refuses_output_beyond_state_limit(capsys, monkeypatch):
+    # maxn = 10^20 needs 67 bits: a 5 * 2^66 - 2 instruction decision tree.
+    monkeypatch.setattr("sys.stdin", io.StringIO("set:1:99999999999999999999 ; i#1"))
+    code, stdout, stderr = invoke(capsys, "project", "-", "--mode", "dispatch")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("pglblab: dispatch output of ") and "state limit" in stderr
+    assert len(stderr.splitlines()) == 1

@@ -101,3 +101,9 @@ def test_gen_random_default_weights_cover_all_kinds():
 def test_gen_random_rejects_bad_length():
     with pytest.raises(ValueError):
         gen_random(1, 0, ToolParams())
+
+
+def test_gen_scaling_family_bounds_k():
+    for k in (0, 17, 40):
+        with pytest.raises(ValueError):
+            gen_scaling_family(k)

@@ -369,3 +369,11 @@ def test_check_equivalence_seeded_oracles_cover_deep_branches():
     verdict = equivalent(p, q, ToolParams(), depth=2)
     assert not verdict.equivalent
     assert verdict.counterexample.oracle.startswith("seeded:")
+
+
+def test_dispatch_checks_output_length_against_state_limit():
+    # 3 bit writes + an 18-instruction decision tree + the halt.
+    p = parse_program("set:1:7 ; i#1 ; !")
+    assert len(dispatch_project(p, ToolParams(maxr=1, maxn=7, state_limit=22)).output) == 22
+    with pytest.raises(ValueError, match="dispatch output of 22 instructions"):
+        dispatch_project(p, ToolParams(maxr=1, maxn=7, state_limit=21))
