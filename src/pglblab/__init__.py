@@ -49,7 +49,6 @@ from .projector import (
     thread_jumps,
 )
 from .vm import (
-    Exhaustive,
     MachineConfig,
     ObservableEvent,
     OracleExhausted,

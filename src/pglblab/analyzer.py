@@ -277,6 +277,12 @@ class MidResult:
     def finite_value(self) -> int | None:
         return self.value.value if isinstance(self.value, Finite) else None
 
+    @property
+    def text(self) -> str:
+        """The value as printed: the number, or `unbounded`."""
+        v = self.finite_value
+        return "unbounded" if v is None else str(v)
+
 
 def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
     """MID by one iterative Tarjan SCC pass over the from-anchor region.
@@ -435,6 +441,11 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
     if pumping:
         return MidResult(Finite(mid), witness, open_tail_unbounded=True)
     return MidResult(Finite(mid), witness, open_tail=open_tail)
+
+
+def program_mid(p: Program, params: ToolParams) -> MidResult:
+    """MID of p under params, from a state graph built for this call."""
+    return compute_mid(build_state_graph(p, params), params.aux)
 
 
 def _bfs_path(succ, sources, goal, allowed) -> list[int]:

@@ -2,16 +2,18 @@
 
 One row per k: generate, measure MID, run both projections (threading the
 specialized output), re-verify equivalence on a seeded oracle set, and
-record lengths, delays, state-graph size, and per-phase wall time.  Rows
-run one after another, so no row's timings include another's work, and
-are deterministic apart from the wall-clock columns.
+record lengths, delays, state-graph size, and per-phase wall time.  Each
+program is analysed once: the member, the threaded specialize output and
+the dispatch output.  Rows run one after another, so no row's timings
+include another's work, and are deterministic apart from the wall-clock
+columns.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
 
-from .analyzer import Finite, StateLimitExceeded, build_state_graph, compute_mid
+from .analyzer import Finite, StateLimitExceeded, build_state_graph, compute_mid, program_mid
 from .family import gen_scaling_family
 from .isa import ToolParams
 from .projector import OracleSuite, check_equivalence, dispatch_project, specialize, thread_jumps
@@ -98,13 +100,14 @@ def _bench_one(k: int, base: ToolParams | None) -> BenchRow:
             flag = 1
 
         t = time.perf_counter()
-        spec = specialize(p, params)
+        spec = specialize(graph)
         threaded = thread_jumps(spec.output)
-        mid_spec = compute_mid(build_state_graph(threaded, params), params.aux)
+        mid_spec = program_mid(threaded, spec.output_params(params))
         spec_ms = (time.perf_counter() - t) * 1000.0
 
         t = time.perf_counter()
         disp = dispatch_project(p, params)
+        mid_disp = program_mid(disp.output, disp.output_params(params))
         disp_ms = (time.perf_counter() - t) * 1000.0
 
         t = time.perf_counter()
@@ -130,7 +133,7 @@ def _bench_one(k: int, base: ToolParams | None) -> BenchRow:
         length_specialized=len(threaded),
         mid_specialized=_mid_value(mid_spec),
         length_dispatch=len(disp.output),
-        mid_dispatch=_mid_value(disp.mid_after),
+        mid_dispatch=_mid_value(mid_disp),
         state_nodes=state_nodes,
         gen_millis=gen_ms,
         mid_millis=mid_ms,

@@ -23,6 +23,7 @@ from .analyzer import (
     build_state_graph,
     compute_mid,
     id_weight,
+    program_mid,
 )
 from .bench import bench_family, to_csv, to_markdown
 from .family import gen_scaling_family, gen_random
@@ -55,9 +56,6 @@ from .vm import (
     trace_text,
 )
 
-_DEFAULTS = ToolParams()
-
-
 class CLIError(Exception):
     def __init__(self, message: str, code: int = 1):
         super().__init__(message)
@@ -87,22 +85,29 @@ def _parse_bool(value: str) -> bool:
     raise CLIError(f"expected a boolean, got {value!r}")
 
 
+def _parse_cells(value: str) -> frozenset[str]:
+    return frozenset(f.strip() for f in value.split(",") if f.strip())
+
+
+#: config key -> (ToolParams field, dest of its flag, parser of a config
+#: value or flag value).  Flags override config files.
+_PARAMS = {
+    "maxr": ("maxr", "maxr", int),
+    "maxn": ("maxn", "maxn", int),
+    "aux": ("aux", "aux", AuxSpec.parse),
+    "cells": ("cell_foci", "cells", _parse_cells),
+    "cellInit": ("cell_init", "cell_init", _parse_bool),
+    "stepLimit": ("step_limit", "step_limit", int),
+    "stateLimit": ("state_limit", "state_limit", int),
+}
+
+
 def _apply_config(pairs: dict[str, str], acc: dict) -> None:
     for key, value in pairs.items():
+        if key not in _PARAMS:
+            raise CLIError(f"unknown config key: {key}")
         try:
-            match key:
-                case "maxr" | "maxn" | "stepLimit" | "stateLimit":
-                    acc[key] = int(value)
-                case "aux":
-                    acc["aux"] = AuxSpec.parse(value)
-                case "cellInit":
-                    acc["cellInit"] = _parse_bool(value)
-                case "cells":
-                    acc["cells"] = frozenset(
-                        f.strip() for f in value.split(",") if f.strip()
-                    )
-                case _:
-                    raise CLIError(f"unknown config key: {key}")
+            acc[key] = _PARAMS[key][2](value)
         except ValueError as e:
             raise CLIError(f"config key {key}: {e}") from e
 
@@ -137,34 +142,16 @@ def resolve_params(args, programs=(), sidecars=()) -> ToolParams:
             _apply_config(parse_config(sidecar.read_text()), acc)
     if getattr(args, "config", None):
         _apply_config(_load_config(args.config), acc)
-    if getattr(args, "maxr", None) is not None:
-        acc["maxr"] = args.maxr
-    if getattr(args, "maxn", None) is not None:
-        acc["maxn"] = args.maxn
-    if getattr(args, "aux", None) is not None:
-        acc["aux"] = AuxSpec.parse(args.aux)
-    if getattr(args, "cells", None) is not None:
-        acc["cells"] = frozenset(f.strip() for f in args.cells.split(",") if f.strip())
-    if getattr(args, "cell_init", None) is not None:
-        acc["cellInit"] = _parse_bool(args.cell_init)
-    if getattr(args, "step_limit", None) is not None:
-        acc["stepLimit"] = args.step_limit
-    if getattr(args, "state_limit", None) is not None:
-        acc["stateLimit"] = args.state_limit
+    for key, (_, dest, parse) in _PARAMS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            acc[key] = parse(value)
     if ("maxr" not in acc or "maxn" not in acc) and programs:
         derived_r, derived_n = derive_bounds(programs)
         acc.setdefault("maxr", derived_r)
         acc.setdefault("maxn", derived_n)
     try:
-        return ToolParams(
-            maxr=acc.get("maxr", _DEFAULTS.maxr),
-            maxn=acc.get("maxn", _DEFAULTS.maxn),
-            aux=acc.get("aux", AuxSpec()),
-            step_limit=acc.get("stepLimit", _DEFAULTS.step_limit),
-            state_limit=acc.get("stateLimit", _DEFAULTS.state_limit),
-            cell_foci=acc.get("cells", None),
-            cell_init=acc.get("cellInit", _DEFAULTS.cell_init),
-        )
+        return ToolParams(**{_PARAMS[key][0]: value for key, value in acc.items()})
     except ValueError as e:
         raise CLIError(str(e)) from e
 
@@ -221,8 +208,7 @@ def _cmd_mid(args) -> int:
     _validate_or_die(p, params, name)
     graph = build_state_graph(p, params)
     result = compute_mid(graph, params.aux)
-    value = result.finite_value
-    print(f"MID = {'unbounded' if value is None else value}")
+    print(f"MID = {result.text}")
     if result.witness:
         rendered = " ".join(
             f"{node.pc}@{id_weight(p.at(node.pc), params.aux)}" for node in result.witness
@@ -246,27 +232,33 @@ def _cmd_project(args) -> int:
     p, name, sidecar = read_program(args.file)
     params = resolve_params(args, programs=(p,), sidecars=(sidecar,))
     _validate_or_die(p, params, name)
-    report = (specialize if args.mode == "specialize" else dispatch_project)(p, params)
+    if args.mode == "specialize":
+        graph = build_state_graph(p, params)
+        report = specialize(graph)
+        mid_before = compute_mid(graph, params.aux)
+        del graph  # free it before the output graphs are built
+    else:
+        # Projecting first keeps dispatch's output-length refusal ahead of
+        # any state-graph error on the source.
+        report = dispatch_project(p, params)
+        mid_before = program_mid(p, params)
+    out_params = report.output_params(params)
     output = report.output
-    extra = ""
+    summary = report.summary(mid_before, program_mid(output, out_params))
     if args.thread:
         output = thread_jumps(output)
-        out_params = report.output_params(params)
-        threaded_mid = compute_mid(build_state_graph(output, out_params), out_params.aux)
-        v = threaded_mid.finite_value
-        extra = f"threaded=1\nmidAfterThreaded={'unbounded' if v is None else v}\n"
+        summary += f"threaded=1\nmidAfterThreaded={program_mid(output, out_params).text}\n"
 
     stem = "program" if args.file == "-" else Path(args.file).stem
     out_dir = Path(args.out_dir) if args.out_dir else (
         Path(".") if args.file == "-" else Path(args.file).parent
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_params = report.output_params(params)
     prefix = f"{stem}.{args.mode}"
     written = {
         out_dir / f"{prefix}.pglb": render_program(output) + "\n",
         out_dir / f"{prefix}.map.csv": report.relocation.to_csv(),
-        out_dir / f"{prefix}.report.txt": report.summary() + extra,
+        out_dir / f"{prefix}.report.txt": summary,
         out_dir / f"{prefix}.cfg": _params_config_text(out_params, out_params.cell_foci),
     }
     for path, content in written.items():

@@ -50,6 +50,9 @@ class FamilyParams:
 #: length quadruples with every further step of 2.
 MAX_FAMILY_K = 16
 
+#: Longest random program: `gen_random` draws one instruction at a time.
+MAX_RANDOM_LEN = 1_000_000
+
 
 def gen_scaling_family(k: int) -> tuple[Program, FamilyParams]:
     """The k-th member of the selection family; length is 12*2^k + 4."""
@@ -118,8 +121,8 @@ def gen_random(
     distance-0 deadlocks occur; register indexes and literals respect
     params.maxr/maxn.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    if not 1 <= length <= MAX_RANDOM_LEN:
+        raise ValueError(f"length must be in 1..{MAX_RANDOM_LEN}")
     table = dict(DEFAULT_KIND_WEIGHTS if weights is None else weights)
     kinds = list(table)
     kind_weights = [table[k] for k in kinds]

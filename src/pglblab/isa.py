@@ -301,6 +301,10 @@ class AuxSpec:
         )
 
 
+#: Largest step limit: a run keeps every step's event in memory.
+MAX_STEP_LIMIT = 1_000_000
+
+
 @dataclass(frozen=True)
 class ToolParams:
     """Machine parameters shared by the interpreter, analyzer and projections.
@@ -309,13 +313,14 @@ class ToolParams:
     range is a machine parameter, not a program property.  `aux` marks basic
     instructions whose occurrences count as internal delay.  `cell_foci`
     fixes which foci are bound to Boolean-cell services; None means the
-    default binding of every focus matching bool<digits>.
+    default binding of every focus matching bool<digits>.  `step_limit` is
+    at most MAX_STEP_LIMIT, which is also its default.
     """
 
     maxr: int = 2
     maxn: int = 7
     aux: AuxSpec = field(default_factory=AuxSpec)
-    step_limit: int = 1_000_000
+    step_limit: int = MAX_STEP_LIMIT
     state_limit: int = 5_000_000
     cell_foci: frozenset[str] | None = None
     cell_init: bool = False
@@ -323,6 +328,8 @@ class ToolParams:
     def __post_init__(self) -> None:
         if self.maxr < 1 or self.maxn < 1:
             raise ValueError("maxr and maxn must be >= 1")
+        if self.step_limit > MAX_STEP_LIMIT:
+            raise ValueError(f"step limit {self.step_limit} exceeds {MAX_STEP_LIMIT}")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Two constructions with opposite trade-offs:
 
-* `specialize` unfolds the reachable state graph, emitting one block per
-  (position, register contents) state.  Register and indirect-jump
+* `specialize` unfolds a prebuilt reachable state graph, emitting one block
+  per (position, register contents) state.  Register and indirect-jump
   instructions collapse to direct jumps, so internal delay stays flat while
   length grows with the state count.
 
@@ -12,20 +12,18 @@ Two constructions with opposite trade-offs:
   and indirect jumps become balanced decision trees over the bits, so
   length stays linear while internal delay grows with the bit width.
 
-`check_equivalence` compares observable behaviour over an oracle suite, and
-`thread_jumps` collapses chains of direct jumps in register-free programs.
+Projections emit programs and do no analysis: the caller computes the MID
+of each program it reports, under `ProjectionReport.output_params` for the
+output.  `check_equivalence` compares observable behaviour over an oracle
+suite, and `thread_jumps` collapses chains of direct jumps in register-free
+programs.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
 
-from .analyzer import (
-    MidResult,
-    StateNode,
-    build_state_graph,
-    compute_mid,
-)
+from .analyzer import MidResult, StateGraph, StateNode
 from .isa import (
     AuxSpec,
     BasicInstruction,
@@ -46,7 +44,6 @@ from .isa import (
     validate,
 )
 from .vm import (
-    Exhaustive,
     ObservableEvent,
     OracleExhausted,
     Scripted,
@@ -93,11 +90,15 @@ class ProjectionReport:
     source: Program
     output: Program
     relocation: RelocationMap
-    length_before: int
-    length_after: int
-    mid_before: MidResult
-    mid_after: MidResult
     aux_introduced: frozenset[BasicInstruction]
+
+    @property
+    def length_before(self) -> int:
+        return len(self.source)
+
+    @property
+    def length_after(self) -> int:
+        return len(self.output)
 
     @property
     def aux_foci(self) -> frozenset[str]:
@@ -113,22 +114,16 @@ class ProjectionReport:
             cell_foci=frozenset(cells),
         )
 
-    def summary(self) -> str:
-        before = _mid_text(self.mid_before)
-        after = _mid_text(self.mid_after)
+    def summary(self, mid_before: MidResult, mid_after: MidResult) -> str:
+        """report.txt text, given the MIDs of the source and the output."""
         return (
             f"mode={self.mode}\n"
             f"lengthBefore={self.length_before}\n"
             f"lengthAfter={self.length_after}\n"
-            f"midBefore={before}\n"
-            f"midAfter={after}\n"
+            f"midBefore={mid_before.text}\n"
+            f"midAfter={mid_after.text}\n"
             f"auxIntroduced={','.join(sorted(str(b) for b in self.aux_introduced))}\n"
         )
-
-
-def _mid_text(result: MidResult) -> str:
-    v = result.finite_value
-    return "unbounded" if v is None else str(v)
 
 
 def _jump(from_pos: int, to_pos: int) -> Instruction:
@@ -143,15 +138,16 @@ _DEADLOCK = FwdJump(0)
 _BLOCK_SIZE = {Plain: 2, PosTest: 3, NegTest: 3}
 
 
-def specialize(p: Program, params: ToolParams) -> ProjectionReport:
-    """Unfold the reachable state graph into a register-free program.
+def specialize(graph: StateGraph) -> ProjectionReport:
+    """Unfold a reachable state graph into a register-free program.
 
-    Every reachable (position, registers) state becomes one block: basics
-    and tests are copied with explicit successor jumps, register sets and
-    resolved indirect jumps become single direct jumps, deadlocking
-    outcomes become '#0'.  Only reachable states are emitted.
+    The source is `graph.program`.  Every reachable (position, registers)
+    state becomes one block: basics and tests are copied with explicit
+    successor jumps, register sets and resolved indirect jumps become
+    single direct jumps, deadlocking outcomes become '#0'.  Only reachable
+    states are emitted.
     """
-    graph = build_state_graph(p, params)
+    p = graph.program
     ins = p.instructions
     pcs = graph.pcs()
     sizes = [_BLOCK_SIZE.get(type(ins[pc - 1]), 1) for pc in pcs]
@@ -198,19 +194,7 @@ def specialize(p: Program, params: ToolParams) -> ProjectionReport:
 
     output = Program(tuple(out))
     relocation = RelocationMap(dict(zip(graph.state_nodes, zip(starts, sizes))))
-    mid_before = compute_mid(graph, params.aux)
-    mid_after = compute_mid(build_state_graph(output, params), params.aux)
-    return ProjectionReport(
-        mode="specialize",
-        source=p,
-        output=output,
-        relocation=relocation,
-        length_before=len(p),
-        length_after=len(output),
-        mid_before=mid_before,
-        mid_after=mid_after,
-        aux_introduced=frozenset(),
-    )
+    return ProjectionReport("specialize", p, output, relocation, frozenset())
 
 
 def _tree_size(levels: int) -> int:
@@ -338,25 +322,10 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
                 end = emit_tree(i, -1, pos, base)
                 assert end == base + tree
 
-    output = Program(tuple(out))
     relocation = RelocationMap(
         {pos: (starts[pos], sizes[pos]) for pos in range(1, length + 1)}
     )
-    aux_introduced = frozenset(aux_used)
-    aux_after = params.aux.union(AuxSpec.of_foci(frozenset(b.focus for b in aux_introduced)))
-    mid_before = compute_mid(build_state_graph(p, params), params.aux)
-    mid_after = compute_mid(build_state_graph(output, params), aux_after)
-    return ProjectionReport(
-        mode="dispatch",
-        source=p,
-        output=output,
-        relocation=relocation,
-        length_before=length,
-        length_after=len(output),
-        mid_before=mid_before,
-        mid_after=mid_after,
-        aux_introduced=aux_introduced,
-    )
+    return ProjectionReport("dispatch", p, Program(tuple(out)), relocation, frozenset(aux_used))
 
 
 def thread_jumps(p: Program) -> Program:
@@ -517,8 +486,8 @@ def check_equivalence(
         label = "exhaustive:" + "".join("T" if r else "F" for r in sigma)
         cex = compare(
             label,
-            _run_bounded(p, params, Exhaustive(sigma), budget),
-            _run_bounded(q, params, Exhaustive(sigma), budget),
+            _run_bounded(p, params, Scripted(sigma), budget),
+            _run_bounded(q, params, Scripted(sigma), budget),
         )
         if cex:
             return Verdict(False, cex, checked, inconclusive)

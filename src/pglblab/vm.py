@@ -78,10 +78,6 @@ class Scripted:
         return f"Scripted({list(self.replies)!r}@{self._index})"
 
 
-class Exhaustive(Scripted):
-    """A scripted reply path, as fed by enumeration drivers."""
-
-
 class Seeded:
     """Deterministic pseudo-random reply stream; never exhausts."""
 

@@ -36,6 +36,10 @@ from pglblab.projector import (
 from pglblab.vm import Scripted, Seeded, UnknownCellMethod, observable_trace, run, trace_text
 
 
+def specialize_program(p, params):
+    return specialize(build_state_graph(p, params))
+
+
 def report(label: str, ok: bool, detail: str = "") -> None:
     line = f"[{'PASS' if ok else 'FAIL'}] {label}"
     if detail:
@@ -139,7 +143,7 @@ def test_projections_are_legal_and_equivalent():
         params = fp.tool_params()
         free = replace(params, cell_foci=frozenset())
         suite = OracleSuite(exhaustive_depth=8)
-        for project in (specialize, dispatch_project):
+        for project in (specialize_program, dispatch_project):
             rep = project(p, params)
             if not is_pglb(rep.output):
                 failures.append((f"family k={k}", project.__name__, "not register-free"))
@@ -152,7 +156,7 @@ def test_projections_are_legal_and_equivalent():
     suite = OracleSuite(exhaustive_depth=10)
     for seed in range(1, 501):
         p = gen_random(1000 + seed, 3 + seed % 10, params)
-        for project in (specialize, dispatch_project):
+        for project in (specialize_program, dispatch_project):
             rep = project(p, params)
             if not is_pglb(rep.output):
                 failures.append((seed, project.__name__, "not register-free"))

@@ -74,3 +74,29 @@ def test_bench_kmax_bounds():
 def test_bench_row_csv_line_field_order():
     row = BenchRow(1, 28, 4, 71, 1, 70, 15, 51, 1.0, 2.0, 3.0, 4.0, 5.0, 0)
     assert row.csv_line() == "1,28,4,71,1,70,15,51,1.0,2.0,3.0,4.0,5.0,0"
+
+
+def test_bench_analyses_each_program_once(monkeypatch):
+    import pglblab.analyzer as analyzer
+    import pglblab.bench as bench
+    import pglblab.projector as projector
+
+    built, analysed = [], []
+    real_build, real_mid = analyzer.build_state_graph, analyzer.compute_mid
+
+    def build(p, params):
+        built.append(p)
+        return real_build(p, params)
+
+    def mid(graph, aux):
+        analysed.append(graph.program)
+        return real_mid(graph, aux)
+
+    for module in (analyzer, bench, projector):
+        monkeypatch.setattr(module, "build_state_graph", build, raising=False)
+        monkeypatch.setattr(module, "compute_mid", mid, raising=False)
+    rows = bench_family(2)
+    assert all(row.flag == 0 for row in rows)
+    assert len(built) == 3 * len(rows)
+    assert len(analysed) == 3 * len(rows)
+    assert len(set(built)) == len(built)

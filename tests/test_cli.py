@@ -254,3 +254,103 @@ def test_dispatch_refuses_output_beyond_state_limit(capsys, monkeypatch):
     assert stdout == ""
     assert stderr.startswith("pglblab: dispatch output of ") and "state limit" in stderr
     assert len(stderr.splitlines()) == 1
+
+
+def test_gen_random_rejects_huge_length(capsys):
+    code, stdout, stderr = invoke(capsys, "gen", "random", "--seed", "1", "--len", "100000000000")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: length must be in 1..1000000\n"
+
+
+def _spin(tmp_path):
+    prog = tmp_path / "spin.pglb"
+    prog.write_text("#1 ; \\#1\n")
+    return prog
+
+
+def test_run_steps_above_cap_is_refused(tmp_path, capsys):
+    code, stdout, stderr = invoke(capsys, "run", str(_spin(tmp_path)), "--steps", "100000000000")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: step limit 100000000000 exceeds 1000000\n"
+
+
+def test_step_limit_flag_above_cap_is_refused(tmp_path, capsys):
+    code, stdout, stderr = invoke(capsys, "run", str(_spin(tmp_path)), "--step-limit", "1000001")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: step limit 1000001 exceeds 1000000\n"
+
+
+def test_config_step_limit_above_cap_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("stepLimit = 100000000000\n")
+    code, stdout, stderr = invoke(capsys, "run", str(_spin(tmp_path)), "--config", str(cfg))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: step limit 100000000000 exceeds 1000000\n"
+
+
+def test_run_steps_at_cap_runs(tmp_path, capsys):
+    prog = tmp_path / "p.pglb"
+    prog.write_text("f.m ; !\n")
+    code, stdout, _ = invoke(capsys, "run", str(prog), "--steps", "1000000")
+    assert code == 0
+    assert stdout.endswith("status=Terminated\n")
+
+
+def test_bad_aux_flag_is_one_line_diagnostic(tmp_path, capsys):
+    prog = tmp_path / "p.pglb"
+    prog.write_text("f.m ; !\n")
+    code, stdout, stderr = invoke(capsys, "mid", str(prog), "--aux", "nodot")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: bad aux pattern 'nodot' (want focus.method)\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("maxn = x", "config key maxn: invalid literal for int() with base 10: 'x'"),
+        ("aux = nodot", "config key aux: bad aux pattern 'nodot' (want focus.method)"),
+        ("stateLimit = 1.5", "config key stateLimit: invalid literal for int() with base 10: '1.5'"),
+    ],
+)
+def test_bad_config_value_names_its_key(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    prog = tmp_path / "p.pglb"
+    prog.write_text("f.m ; !\n")
+    code, stdout, stderr = invoke(capsys, "mid", str(prog), "--config", str(cfg))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"pglblab: {message}\n"
+
+
+def test_config_and_flags_set_every_param(tmp_path):
+    from types import SimpleNamespace
+
+    from pglblab.cli import resolve_params
+    from pglblab.isa import AuxSpec, ToolParams
+
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "maxr = 3\nmaxn = 4\naux = f.*\ncells = a, b\ncellInit = true\n"
+        "stepLimit = 10\nstateLimit = 20\n"
+    )
+    names = ("maxr", "maxn", "aux", "cells", "cell_init", "step_limit", "state_limit")
+    args = SimpleNamespace(config=str(cfg), **dict.fromkeys(names))
+    expected = ToolParams(
+        maxr=3, maxn=4, aux=AuxSpec.parse("f.*"), step_limit=10, state_limit=20,
+        cell_foci=frozenset({"a", "b"}), cell_init=True,
+    )
+    assert resolve_params(args) == expected
+    flags = SimpleNamespace(
+        config=str(cfg), maxr=5, maxn=6, aux="g.m", cells="c", cell_init="false",
+        step_limit=30, state_limit=40,
+    )
+    assert resolve_params(flags) == ToolParams(
+        maxr=5, maxn=6, aux=AuxSpec.parse("g.m"), step_limit=30, state_limit=40,
+        cell_foci=frozenset({"c"}), cell_init=False,
+    )

@@ -1,6 +1,6 @@
 import pytest
 
-from pglblab.family import DEFAULT_KIND_WEIGHTS, gen_scaling_family, gen_random
+from pglblab.family import DEFAULT_KIND_WEIGHTS, MAX_RANDOM_LEN, gen_scaling_family, gen_random
 from pglblab.isa import Halt, ToolParams, parse_program, render_program, validate
 from pglblab.vm import Scripted, Status, observable_trace, run
 
@@ -107,3 +107,10 @@ def test_gen_scaling_family_bounds_k():
     for k in (0, 17, 40):
         with pytest.raises(ValueError):
             gen_scaling_family(k)
+
+
+def test_gen_random_rejects_lengths_above_the_cap():
+    params = ToolParams(maxr=2, maxn=3)
+    for length in (MAX_RANDOM_LEN + 1, 10**11):
+        with pytest.raises(ValueError, match="length must be in 1..1000000"):
+            gen_random(1, length, params)

@@ -222,3 +222,12 @@ def test_render_parse_round_trip(instrs):
 def test_render_instruction_agrees_with_program_render(instrs):
     p = Program(tuple(instrs))
     assert render_program(p) == " ; ".join(render_instruction(u) for u in instrs)
+
+
+def test_tool_params_cap_the_step_limit():
+    from pglblab.isa import MAX_STEP_LIMIT
+
+    assert ToolParams().step_limit == MAX_STEP_LIMIT == 1_000_000
+    assert ToolParams(step_limit=MAX_STEP_LIMIT).step_limit == MAX_STEP_LIMIT
+    with pytest.raises(ValueError, match="exceeds 1000000"):
+        ToolParams(step_limit=MAX_STEP_LIMIT + 1)

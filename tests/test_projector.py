@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pglblab.analyzer import StateNode, Unbounded
+from pglblab.analyzer import StateNode, Unbounded, build_state_graph, compute_mid, program_mid
 from pglblab.family import gen_random
 from pglblab.isa import (
     AuxSpec,
@@ -40,11 +40,15 @@ def equivalent(p, q, params, depth=10):
     return check_equivalence(p, q, params, OracleSuite(exhaustive_depth=depth))
 
 
+def specialize_program(p, params):
+    return specialize(build_state_graph(p, params))
+
+
 # --- specialize ---
 
 
 def test_specialize_resolves_register_use_to_direct_jumps():
-    report = specialize(parse_program("set:1:1 ; i#1 ; !"), P11)
+    report = specialize(build_state_graph(parse_program("set:1:1 ; i#1 ; !"), P11))
     assert render_program(report.output) == "#1 ; #1 ; !"
     assert report.mode == "specialize"
     assert report.length_before == 3
@@ -54,12 +58,12 @@ def test_specialize_resolves_register_use_to_direct_jumps():
 
 def test_specialize_emits_reachable_states_only():
     # The halt is unreachable behind the never-set register.
-    report = specialize(parse_program("i#1 ; !"), P11)
+    report = specialize(build_state_graph(parse_program("i#1 ; !"), P11))
     assert render_program(report.output) == "#0"
 
 
 def test_specialize_pos_test_block():
-    report = specialize(parse_program("+f.m ; ! ; #0"), P11)
+    report = specialize(build_state_graph(parse_program("+f.m ; ! ; #0"), P11))
     assert render_program(report.output) == "+f.m ; #2 ; #2 ; ! ; #0"
     assert report.relocation.entries == {
         StateNode(1, (0,)): (1, 3),
@@ -71,27 +75,27 @@ def test_specialize_pos_test_block():
 def test_specialize_neg_test_block_slots_follow_reply_routing():
     # Blocks are laid out in discovery order (the True branch of a negative
     # test first); the slots still route False to the old pc+1.
-    report = specialize(parse_program("-f.m ; ! ; #0"), P11)
+    report = specialize(build_state_graph(parse_program("-f.m ; ! ; #0"), P11))
     assert render_program(report.output) == "-f.m ; #3 ; #1 ; #0 ; !"
     p = parse_program("-f.m ; ! ; #0")
     assert equivalent(p, report.output, P11).equivalent
 
 
 def test_specialize_deadlock_branches_become_distance_zero_jumps():
-    report = specialize(parse_program("+f.m ; !"), P11)
+    report = specialize(build_state_graph(parse_program("+f.m ; !"), P11))
     # False lands past the end: slot 2 deadlocks just like the original.
     assert render_program(report.output) == "+f.m ; #2 ; #0 ; !"
 
 
 def test_specialize_output_is_register_free():
     p = parse_program("set:2:3 ; i#1 ; set:1:2 ; i\\#2 ; f.m ; !")
-    report = specialize(p, P23)
+    report = specialize(build_state_graph(p, P23))
     assert is_pglb(report.output)
 
 
 def test_specialize_relocation_partitions_output():
     p = parse_program("set:1:2 ; +f.m ; i#1 ; g.n ; !")
-    report = specialize(p, P12)
+    report = specialize(build_state_graph(p, P12))
     entries = sorted(report.relocation.entries.values())
     at = 1
     for start, size in entries:
@@ -103,7 +107,7 @@ def test_specialize_relocation_partitions_output():
 def test_specialize_unfolds_register_states():
     # Same position reached with two register values becomes two blocks.
     p = parse_program("+f.m ; #3 ; set:1:1 ; set:1:2 ; i#1 ; ! ; !")
-    report = specialize(p, P12)
+    report = specialize(build_state_graph(p, P12))
     pcs = [node.pc for node in report.relocation.entries]
     assert pcs.count(5) == 2
     assert equivalent(p, report.output, P12).equivalent
@@ -112,9 +116,10 @@ def test_specialize_unfolds_register_states():
 def test_specialize_keeps_mid_flat_without_aux():
     for seed in range(60):
         p = gen_random(seed, 3 + seed % 10, P23)
-        report = specialize(p, P23)
-        before = report.mid_before.finite_value
-        after = report.mid_after.finite_value
+        graph = build_state_graph(p, P23)
+        report = specialize(graph)
+        before = compute_mid(graph, P23.aux).finite_value
+        after = program_mid(report.output, P23).finite_value
         if before is None:
             assert after is None, (seed, str(p))
         else:
@@ -122,7 +127,7 @@ def test_specialize_keeps_mid_flat_without_aux():
 
 
 def test_specialize_relocation_csv_uses_state_keys():
-    report = specialize(parse_program("+f.m ; ! ; #0"), P11)
+    report = specialize(build_state_graph(parse_program("+f.m ; ! ; #0"), P11))
     assert report.relocation.to_csv() == (
         "old_key,new_start,new_len\n1:0,1,3\n2:0,4,1\n3:0,5,1\n"
     )
@@ -222,8 +227,9 @@ def test_dispatch_mid_grows_with_bit_width():
     p = parse_program("f.m ; set:1:1 ; i#1 ; f.m ; !")
     mids = []
     for maxn in (1, 3, 7, 15):
-        report = dispatch_project(p, ToolParams(maxr=1, maxn=maxn))
-        mids.append(report.mid_after.finite_value)
+        params = ToolParams(maxr=1, maxn=maxn)
+        report = dispatch_project(p, params)
+        mids.append(program_mid(report.output, report.output_params(params)).finite_value)
     assert mids == sorted(mids)
     assert mids[-1] > mids[0]
 
@@ -234,7 +240,7 @@ def test_dispatch_mid_grows_with_bit_width():
 def test_projections_preserve_observable_behavior_on_random_programs():
     for seed in range(80):
         p = gen_random(7000 + seed, 3 + seed % 10, P23)
-        for proj in (specialize, dispatch_project):
+        for proj in (specialize_program, dispatch_project):
             report = proj(p, P23)
             assert is_pglb(report.output)
             verdict = equivalent(p, report.output, report.output_params(P23))
@@ -243,18 +249,19 @@ def test_projections_preserve_observable_behavior_on_random_programs():
 
 def test_projection_reports_record_lengths():
     p = parse_program("set:1:2 ; i#1 ; ! ; !")
-    for proj in (specialize, dispatch_project):
+    for proj in (specialize_program, dispatch_project):
         report = proj(p, P12)
         assert report.length_before == 4
         assert report.length_after == len(report.output)
-        assert f"mode={report.mode}" in report.summary()
-        assert f"lengthAfter={report.length_after}" in report.summary()
+        summary = report.summary(program_mid(p, P12), program_mid(report.output, report.output_params(P12)))
+        assert f"mode={report.mode}" in summary
+        assert f"lengthAfter={report.length_after}" in summary
 
 
 def test_projection_rejects_invalid_programs():
     p = parse_program("set:9:9 ; !")
     with pytest.raises(ValueError):
-        specialize(p, P11)
+        specialize(build_state_graph(p, P11))
     with pytest.raises(ValueError):
         dispatch_project(p, P11)
 
@@ -305,7 +312,7 @@ def test_thread_jumps_is_idempotent_and_behavior_preserving(seed, length):
 
 def test_threading_a_specialized_program_shortens_hops():
     p = parse_program("set:1:1 ; i#1 ; !")
-    report = specialize(p, P11)
+    report = specialize(build_state_graph(p, P11))
     threaded = thread_jumps(report.output)
     assert render_program(threaded) == "#2 ; #1 ; !"
 
@@ -377,3 +384,20 @@ def test_dispatch_checks_output_length_against_state_limit():
     assert len(dispatch_project(p, ToolParams(maxr=1, maxn=7, state_limit=22)).output) == 22
     with pytest.raises(ValueError, match="dispatch output of 22 instructions"):
         dispatch_project(p, ToolParams(maxr=1, maxn=7, state_limit=21))
+
+
+def test_projections_do_no_analysis(monkeypatch):
+    import pglblab.analyzer as analyzer
+    import pglblab.projector as projector
+
+    p = parse_program("set:1:2 ; +f.m ; i#1 ; g.n ; !")
+    graph = build_state_graph(p, P12)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a projection analysed a program")
+
+    for module in (analyzer, projector):
+        for name in ("build_state_graph", "compute_mid"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    assert is_pglb(specialize(graph).output)
+    assert is_pglb(dispatch_project(p, P12).output)
