@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 diagnostics/errors/counterexample, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -244,10 +245,19 @@ def _cmd_project(args) -> int:
         mid_before = program_mid(p, params)
     out_params = report.output_params(params)
     output = report.output
-    summary = report.summary(mid_before, program_mid(output, out_params))
+    # Same program, same aux marks, same MID: dispatch returns a program
+    # without registers or out-of-range jumps as it is, and threading
+    # leaves a program without jump chains as it is.
+    if output == report.source and not report.aux_introduced:
+        mid_after = mid_before
+    else:
+        mid_after = program_mid(output, out_params)
+    summary = report.summary(mid_before, mid_after)
     if args.thread:
-        output = thread_jumps(output)
-        summary += f"threaded=1\nmidAfterThreaded={program_mid(output, out_params).text}\n"
+        threaded = thread_jumps(output)
+        mid_threaded = mid_after if threaded == output else program_mid(threaded, out_params)
+        output = threaded
+        summary += f"threaded=1\nmidAfterThreaded={mid_threaded.text}\n"
 
     stem = "program" if args.file == "-" else Path(args.file).stem
     out_dir = Path(args.out_dir) if args.out_dir else (
@@ -332,7 +342,9 @@ def _cmd_check(args) -> int:
 MAX_CHECK_DEPTH = 16
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pglblab",
         description="Interpreter, delay analyzer, and projections for the instruction notation.",

@@ -195,22 +195,28 @@ def render_program(p: Program) -> str:
     return " ; ".join(render_instruction(u) for u in p.instructions)
 
 
-# One anchored pattern per instruction form.  `set:`/`i#` are tried before
-# the basic-instruction form so `set` and `i` never lex as foci of a basic.
-_INSTR_FORMS: list[tuple[re.Pattern[str], Callable[[re.Match[str]], Instruction]]] = [
-    (re.compile(r"!"), lambda m: Halt()),
-    (re.compile(r"set:(\d+):(\d+)"), lambda m: RegSet(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"i#(\d+)"), lambda m: IndFwdJump(int(m.group(1)))),
-    (re.compile(r"i\\#(\d+)"), lambda m: IndBwdJump(int(m.group(1)))),
-    (re.compile(r"#(\d+)"), lambda m: FwdJump(int(m.group(1)))),
-    (re.compile(r"\\#(\d+)"), lambda m: BwdJump(int(m.group(1)))),
-    (
-        re.compile(r"([+-]?)([a-z][a-z0-9]*)\.([a-zA-Z][a-zA-Z0-9]*(?::[a-zA-Z0-9]+)*)"),
-        lambda m: {"": Plain, "+": PosTest, "-": NegTest}[m.group(1)](
-            BasicInstruction(m.group(2), m.group(3))
-        ),
-    ),
-]
+# One alternative per instruction form.  The forms are disjoint (only a
+# basic instruction has a '.'), and the last group of each is named after
+# its form, so `lastgroup` says which one matched.
+_INSTR_SYNTAX = re.compile(
+    r"(?P<halt>!)"
+    r"|set:(?P<reg>\d+):(?P<set>\d+)"
+    r"|i#(?P<ifwd>\d+)"
+    r"|i\\#(?P<ibwd>\d+)"
+    r"|#(?P<fwd>\d+)"
+    r"|\\#(?P<bwd>\d+)"
+    r"|(?P<sign>[+-]?)(?P<focus>[a-z][a-z0-9]*)\.(?P<basic>[a-zA-Z][a-zA-Z0-9]*(?::[a-zA-Z0-9]+)*)"
+)
+_BASIC_KINDS = {"": Plain, "+": PosTest, "-": NegTest}
+_INSTR_BUILD: dict[str, Callable[[re.Match[str]], Instruction]] = {
+    "halt": lambda m: Halt(),
+    "set": lambda m: RegSet(int(m["reg"]), int(m["set"])),
+    "ifwd": lambda m: IndFwdJump(int(m["ifwd"])),
+    "ibwd": lambda m: IndBwdJump(int(m["ibwd"])),
+    "fwd": lambda m: FwdJump(int(m["fwd"])),
+    "bwd": lambda m: BwdJump(int(m["bwd"])),
+    "basic": lambda m: _BASIC_KINDS[m["sign"]](BasicInstruction(m["focus"], m["basic"])),
+}
 
 
 def _strip_comments(text: str) -> str:
@@ -219,44 +225,43 @@ def _strip_comments(text: str) -> str:
     return "\n".join(line.split("//", 1)[0] for line in text.split("\n"))
 
 
+def _parse_instruction(body: str) -> Instruction:
+    """One instruction from its stripped text; ValueError names the fault."""
+    if not body:
+        raise ValueError("empty instruction")
+    m = _INSTR_SYNTAX.fullmatch(body)
+    if m is None:
+        raise ValueError(f"unrecognized instruction {body!r}")
+    return _INSTR_BUILD[m.lastgroup](m)
+
+
 def parse_program(text: str) -> Program:
-    """Parse program text (UTF-8, '//' line comments) into a Program."""
+    """Parse program text (UTF-8, '//' line comments) into a Program.
+
+    Each distinct instruction text is parsed once, and its occurrences
+    share one instruction object.  Bodies are parsed in order of first
+    occurrence, so the first one that fails is also the first failing
+    instruction in the text.
+    """
     stripped = _strip_comments(text)
-    line_starts = [0]
-    for i, ch in enumerate(stripped):
-        if ch == "\n":
-            line_starts.append(i + 1)
+    chunks = stripped.split(";")
+    bodies = [chunk.strip() for chunk in chunks]
+    built: dict[str, Instruction] = {}
+    for body in dict.fromkeys(bodies):
+        try:
+            built[body] = _parse_instruction(body)
+        except ValueError as exc:
+            raise _located(str(exc), stripped, chunks, bodies.index(body), body) from None
+    return Program(tuple(map(built.__getitem__, bodies)))
 
-    def position(offset: int) -> tuple[int, int]:
-        lo, hi = 0, len(line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, offset - line_starts[lo] + 1
 
-    instructions: list[Instruction] = []
-    offset = 0
-    for chunk in stripped.split(";"):
-        body = chunk.strip()
-        start = offset + (len(chunk) - len(chunk.lstrip()))
-        line, col = position(start)
-        offset += len(chunk) + 1
-        if not body:
-            raise ParseError("empty instruction", line, col)
-        for pattern, build in _INSTR_FORMS:
-            m = pattern.fullmatch(body)
-            if m:
-                try:
-                    instructions.append(build(m))
-                except ValueError as exc:
-                    raise ParseError(str(exc), line, col, body) from None
-                break
-        else:
-            raise ParseError(f"unrecognized instruction {body!r}", line, col, body)
-    return Program(tuple(instructions))
+def _located(message: str, stripped: str, chunks: list[str], index: int, body: str) -> ParseError:
+    """The ParseError for chunk `index`, at its first non-blank character."""
+    chunk = chunks[index]
+    start = sum(len(c) + 1 for c in chunks[:index]) + len(chunk) - len(chunk.lstrip())
+    line = stripped.count("\n", 0, start) + 1
+    column = start - stripped.rfind("\n", 0, start)
+    return ParseError(message, line, column, body)
 
 
 @dataclass(frozen=True)

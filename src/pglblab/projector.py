@@ -44,16 +44,15 @@ from .isa import (
     validate,
 )
 from .vm import (
+    MachineConfig,
     ObservableEvent,
-    OracleExhausted,
     Scripted,
     Seeded,
     Status,
-    TraceEvent,
     bound_cell_foci,
+    execute,
     initial_config,
     observable_events,
-    step,
 )
 
 
@@ -402,43 +401,30 @@ class Verdict:
 def _reply_prefixes(
     p: Program, params: ToolParams, depth: int, step_limit: int
 ) -> set[tuple[bool, ...]]:
-    """All oracle-reply prefixes of runs of p, branching up to `depth`."""
+    """All oracle-reply prefixes of runs of p, branching up to `depth`.
+
+    Each run segment goes through `execute` to the next test that needs a
+    reply, where the prefix branches on both replies.
+    """
     seqs: set[tuple[bool, ...]] = set()
     stack = [(initial_config(p, params, Scripted(())), 0, ())]
     while stack:
         cfg, steps, sigma = stack.pop()
-        if cfg.status is not Status.RUNNING or steps >= step_limit:
+        events, final, end = execute(p, cfg, step_limit - steps)
+        if final is not None or len(sigma) >= depth:
             seqs.add(sigma)
             continue
-        u = p.at(cfg.pc)
-        b = basic_of(u)
-        consuming = isinstance(u, (PosTest, NegTest)) and b.focus not in cfg.cells
-        if consuming:
-            if len(sigma) >= depth:
-                seqs.add(sigma)
-                continue
-            for r in (False, True):
-                nxt, _ = step(p, replace(cfg, oracle=Scripted((r,))))
-                stack.append((nxt, steps + 1, sigma + (r,)))
-        else:
-            nxt, _ = step(p, cfg)
-            stack.append((nxt, steps + 1, sigma))
+        steps += len(events)
+        for r in (False, True):
+            branch = MachineConfig(end.pc, end.registers, end.cells, Scripted((r,)))
+            stack.append((branch, steps, sigma + (r,)))
     return seqs
 
 
 def _run_bounded(p: Program, params: ToolParams, oracle, step_limit: int):
     """Run to completion, step limit, or oracle exhaustion (final=None)."""
-    cfg = initial_config(p, params, oracle)
-    events: list[TraceEvent] = []
-    for _ in range(step_limit):
-        try:
-            cfg, ev = step(p, cfg)
-        except OracleExhausted:
-            return tuple(events), None
-        events.append(ev)
-        if cfg.status is not Status.RUNNING:
-            return tuple(events), cfg.status
-    return tuple(events), Status.STEP_LIMIT
+    events, final, _ = execute(p, initial_config(p, params, oracle), step_limit)
+    return tuple(events), final
 
 
 def check_equivalence(

@@ -5,17 +5,18 @@ to Boolean-cell services reply deterministically from cell contents, every
 other focus is answered by the run's reply oracle.  Plain basic instructions
 proceed as if True were produced, so they never consume an oracle reply;
 only tests do.
+
+`execute` is the interpreter loop; `run` and `step` are calls into it.
 """
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from .isa import (
-    BasicInstruction,
     BwdJump,
     FwdJump,
     Halt,
@@ -69,33 +70,50 @@ class Scripted:
         self.replies = tuple(replies)
         self._index = _index
 
-    def take(self) -> tuple[bool, "Scripted"]:
-        if self._index >= len(self.replies):
-            raise OracleExhausted(f"scripted oracle exhausted after {self._index} replies")
-        return self.replies[self._index], Scripted(self.replies, self._index + 1)
+    def supply(self, n: int) -> bool:
+        return n <= len(self.replies)
+
+    def at(self, index: int) -> "Scripted":
+        return Scripted(self.replies, index)
+
+    def exhausted(self) -> OracleExhausted:
+        return OracleExhausted(f"scripted oracle exhausted after {self._index} replies")
 
     def __repr__(self) -> str:
         return f"Scripted({list(self.replies)!r}@{self._index})"
 
 
 class Seeded:
-    """Deterministic pseudo-random reply stream; never exhausts."""
+    """Deterministic pseudo-random reply stream; never exhausts.
+
+    Streams at different indexes of one seed share the drawn bits, so
+    `replies` is one list that grows in place.
+    """
 
     def __init__(self, seed: int, _index: int = 0, _shared=None):
         self.seed = seed
         self._index = _index
         self._shared = _shared if _shared is not None else (random.Random(seed), [])
+        self.replies = self._shared[1]
 
-    def take(self) -> tuple[bool, "Seeded"]:
+    def supply(self, n: int) -> bool:
         rng, bits = self._shared
-        while len(bits) <= self._index:
-            bits.append(bool(rng.getrandbits(1)))
-        return bits[self._index], Seeded(self.seed, self._index + 1, self._shared)
+        while len(bits) < n:
+            # Drawing ahead changes no reply: bit i is always the i-th draw.
+            bits.extend(bool(rng.getrandbits(1)) for _ in range(64))
+        return True
+
+    def at(self, index: int) -> "Seeded":
+        return Seeded(self.seed, index, self._shared)
 
     def __repr__(self) -> str:
         return f"Seeded({self.seed}@{self._index})"
 
 
+#: A reply stream read from `_index` on.  `replies` holds the replies
+#: drawn so far, `supply(n)` says whether it can hold n of them (drawing
+#: more if the stream allows), and `at(i)` is the same stream read from
+#: reply i.  `execute` reads `replies` directly.
 ReplyOracle = Scripted | Seeded
 
 
@@ -151,70 +169,100 @@ def initial_config(p: Program, params: ToolParams, oracle: ReplyOracle) -> Machi
     return MachineConfig(1, (0,) * params.maxr, cells, oracle)
 
 
-def _consult(cfg: MachineConfig, basic: BasicInstruction, is_test: bool):
-    """Execute one basic instruction: returns (reply, cells', oracle')."""
-    if basic.focus in cfg.cells:
-        contents, reply = cell_reply(cfg.cells[basic.focus], basic.method)
-        cells = cfg.cells
-        if contents != cells[basic.focus]:
-            cells = dict(cells)
-            cells[basic.focus] = contents
-        return reply, cells, cfg.oracle
-    if is_test:
-        reply, oracle = cfg.oracle.take()
-        return reply, cfg.cells, oracle
-    # A plain instruction proceeds as if True were produced.
-    return True, cfg.cells, cfg.oracle
+def execute(
+    p: Program, cfg: MachineConfig, limit: int
+) -> tuple[list[TraceEvent], Status | None, MachineConfig]:
+    """Run from `cfg` for at most `limit` steps: the interpreter itself.
+
+    Returns (events, final, end).  `final` is TERMINATED or DEADLOCKED when
+    the run stopped on its own, STEP_LIMIT after `limit` steps, and None
+    when a test needed a reply the oracle does not have; that test is not
+    executed.  `end` is the configuration where the run stopped, with the
+    oracle advanced past the replies it used.
+    """
+    if cfg.status is not Status.RUNNING:
+        raise ValueError("cannot step a configuration that is not running")
+    ins = p.instructions
+    length = len(ins)
+    pc = cfg.pc
+    if not 1 <= pc <= length:
+        raise IndexError(f"position {pc} out of range")
+    registers = list(cfg.registers)
+    cells = dict(cfg.cells)
+    oracle = cfg.oracle
+    replies = oracle.replies
+    index = oracle._index
+    events: list[TraceEvent] = []
+    append = events.append
+    # One event object per position and reply: key pc for reply None or
+    # True, -pc for False (a position's replies are all None or all bools).
+    made: dict[int, TraceEvent] = {}
+    final: Status | None = Status.STEP_LIMIT
+    for _ in range(limit):
+        u = ins[pc - 1]
+        kind = type(u)
+        key = pc
+        reply = None
+        if kind is Plain or kind is PosTest or kind is NegTest:
+            basic = u.basic
+            focus = basic.focus
+            if focus in cells:
+                cells[focus], reply = cell_reply(cells[focus], basic.method)
+            elif kind is Plain:
+                # A plain instruction proceeds as if True were produced.
+                reply = True
+            else:
+                if index >= len(replies) and not oracle.supply(index + 1):
+                    final = None
+                    break
+                reply = replies[index]
+                index += 1
+            if not reply:
+                key = -pc
+            # A test proceeds on True (+) or False (-) and skips one otherwise.
+            target = pc + 1 if kind is Plain or (not reply) is (kind is NegTest) else pc + 2
+        else:
+            if kind is FwdJump:
+                distance = u.distance
+            elif kind is BwdJump:
+                distance = -u.distance
+            elif kind is RegSet:
+                registers[u.register - 1] = u.value
+                distance = 1
+            elif kind is IndFwdJump:
+                distance = registers[u.register - 1]
+            elif kind is IndBwdJump:
+                distance = -registers[u.register - 1]
+            elif kind is Halt:
+                distance = 0
+            else:
+                raise TypeError(f"not an instruction: {u!r}")
+            # Distance 0 stops the run (a halt terminates, a zero jump
+            # deadlocks); so does a target outside the program (deadlock).
+            target = pc + distance if distance else 0
+        event = made.get(key)
+        if event is None:
+            event = made[key] = TraceEvent(pc, u, reply)
+        append(event)
+        if not 1 <= target <= length:
+            final = Status.TERMINATED if kind is Halt else Status.DEADLOCKED
+            pc = 0
+            break
+        pc = target
+    status = final if pc == 0 else Status.RUNNING
+    return events, final, MachineConfig(pc, tuple(registers), cells, oracle.at(index), status)
 
 
 def step(p: Program, cfg: MachineConfig) -> tuple[MachineConfig, TraceEvent]:
-    """Execute the instruction at cfg.pc.  Requires cfg.status == RUNNING."""
-    if cfg.status is not Status.RUNNING:
-        raise ValueError("cannot step a configuration that is not running")
-    length = len(p)
-    pc = cfg.pc
-    u = p.at(pc)
-    reply: bool | None = None
-    registers = cfg.registers
-    cells = cfg.cells
-    oracle = cfg.oracle
-    target: int | None
+    """Execute the instruction at cfg.pc: one step of `execute`.
 
-    match u:
-        case Halt():
-            event = TraceEvent(pc, u, None)
-            return replace(cfg, pc=0, status=Status.TERMINATED), event
-        case Plain(b):
-            reply, cells, oracle = _consult(cfg, b, is_test=False)
-            target = pc + 1
-        case PosTest(b):
-            reply, cells, oracle = _consult(cfg, b, is_test=True)
-            target = pc + 1 if reply else pc + 2
-        case NegTest(b):
-            reply, cells, oracle = _consult(cfg, b, is_test=True)
-            target = pc + 1 if not reply else pc + 2
-        case FwdJump(l):
-            target = pc + l if l > 0 else None
-        case BwdJump(l):
-            target = pc - l if l > 0 else None
-        case RegSet(i, n):
-            registers = registers[: i - 1] + (n,) + registers[i:]
-            target = pc + 1
-        case IndFwdJump(i):
-            l = cfg.registers[i - 1]
-            target = pc + l if l > 0 else None
-        case IndBwdJump(i):
-            l = cfg.registers[i - 1]
-            target = pc - l if l > 0 else None
-        case _:
-            raise TypeError(f"not an instruction: {u!r}")
-
-    event = TraceEvent(pc, u, reply)
-    if target is None or target < 1 or target > length:
-        new = MachineConfig(0, registers, cells, oracle, Status.DEADLOCKED)
-    else:
-        new = MachineConfig(target, registers, cells, oracle, Status.RUNNING)
-    return new, event
+    Requires cfg.status == RUNNING; raises OracleExhausted when the
+    instruction is a test the oracle has no reply for.
+    """
+    events, final, end = execute(p, cfg, 1)
+    if final is None:
+        raise end.oracle.exhausted()
+    return end, events[0]
 
 
 def run(p: Program, params: ToolParams, oracle: ReplyOracle) -> Trace:
@@ -222,14 +270,10 @@ def run(p: Program, params: ToolParams, oracle: ReplyOracle) -> Trace:
     diags = validate(p, params)
     if diags:
         raise ValueError("invalid program: " + "; ".join(map(str, diags)))
-    cfg = initial_config(p, params, oracle)
-    events: list[TraceEvent] = []
-    for _ in range(params.step_limit):
-        cfg, event = step(p, cfg)
-        events.append(event)
-        if cfg.status is not Status.RUNNING:
-            return Trace(tuple(events), cfg.status)
-    return Trace(tuple(events), Status.STEP_LIMIT)
+    events, final, end = execute(p, initial_config(p, params, oracle), params.step_limit)
+    if final is None:
+        raise end.oracle.exhausted()
+    return Trace(tuple(events), final)
 
 
 def observable_events(
@@ -251,12 +295,13 @@ def observable_trace(t: Trace, params: ToolParams) -> ObservableTrace:
 
 def trace_text(t: Trace) -> str:
     """Line-oriented trace serialization, one event per line."""
+    prefixes: dict[int, str] = {}
     lines = []
-    for ev in t.events:
-        line = f"{ev.position} {render_instruction(ev.instruction)}"
-        if ev.reply is not None:
-            line += f" reply={'T' if ev.reply else 'F'}"
-        lines.append(line)
+    for position, instruction, reply in t.events:
+        prefix = prefixes.get(position)
+        if prefix is None:
+            prefix = prefixes[position] = f"{position} {render_instruction(instruction)}"
+        lines.append(prefix if reply is None else prefix + (" reply=T" if reply else " reply=F"))
     lines.append(f"status={t.final.value}")
     return "\n".join(lines) + "\n"
 

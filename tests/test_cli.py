@@ -354,3 +354,88 @@ def test_config_and_flags_set_every_param(tmp_path):
         maxr=5, maxn=6, aux=AuxSpec.parse("g.m"), step_limit=30, state_limit=40,
         cell_foci=frozenset({"c"}), cell_init=False,
     )
+
+
+def test_main_reuses_one_parser_with_fresh_call_output(capsys):
+    from pglblab.cli import build_parser
+
+    commands = [
+        ("gen", "family", "--k", "1"),
+        ("gen", "random", "--seed", "3", "--len", "6"),
+        ("gen", "family", "--k", "1"),
+    ]
+
+    def fresh(argv):
+        build_parser.cache_clear()
+        return invoke(capsys, *argv)
+
+    expected = [fresh(argv) for argv in commands]
+    build_parser.cache_clear()
+    assert [invoke(capsys, *argv) for argv in commands] == expected
+    assert build_parser.cache_info().misses == 1
+    # A usage error leaves the shared parser as it was.
+    with pytest.raises(SystemExit):
+        main(["gen", "family"])
+    capsys.readouterr()
+    assert invoke(capsys, *commands[0]) == expected[0]
+
+
+def count_builds(monkeypatch) -> list:
+    import pglblab.analyzer as analyzer
+    import pglblab.cli as cli
+
+    built = []
+    real_build = analyzer.build_state_graph
+
+    def build(p, params):
+        built.append(p)
+        return real_build(p, params)
+
+    for module in (analyzer, cli):
+        monkeypatch.setattr(module, "build_state_graph", build)
+    return built
+
+
+@pytest.mark.parametrize(
+    "text, flags, mids",
+    [("+f.m ; g.n ; !", (), "0"), ("+f.m ; g.n ; g.m ; !", ("--aux", "g.*"), "2")],
+)
+def test_dispatch_of_a_register_free_program_analyses_it_once(
+    text, flags, mids, tmp_path, capsys, monkeypatch
+):
+    built = count_builds(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, _, _ = invoke(
+        capsys, "project", "-", "--mode", "dispatch", "--out-dir", str(tmp_path), *flags
+    )
+    assert code == 0
+    assert len(built) == 1
+    length = len(parse_program(text))
+    assert (tmp_path / "program.dispatch.report.txt").read_text() == (
+        f"mode=dispatch\nlengthBefore={length}\nlengthAfter={length}\n"
+        f"midBefore={mids}\nmidAfter={mids}\nauxIntroduced=\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, flags, report",
+    [
+        ("f.m ; !", (), (2, 3, 0, 1)),
+        ("+f.m ; g.n ; g.m ; !", ("--aux", "g.*"), (4, 8, 2, 5)),
+    ],
+)
+def test_threading_that_changes_nothing_is_not_analysed_again(
+    text, flags, report, tmp_path, capsys, monkeypatch
+):
+    built = count_builds(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    argv = ("project", "-", "--mode", "specialize", "--thread", "--out-dir", str(tmp_path))
+    code, _, _ = invoke(capsys, *argv, *flags)
+    assert code == 0
+    assert len(built) == 2  # the source and the specialized output
+    before, after, mid_before, mid_after = report
+    assert (tmp_path / "program.specialize.report.txt").read_text() == (
+        f"mode=specialize\nlengthBefore={before}\nlengthAfter={after}\n"
+        f"midBefore={mid_before}\nmidAfter={mid_after}\nauxIntroduced=\n"
+        f"threaded=1\nmidAfterThreaded={mid_after}\n"
+    )

@@ -73,6 +73,31 @@ def test_parse_error_carries_position():
     assert "2:3" in str(exc.value)
 
 
+# Comments, blank lines and 300 repeats of one token come before each fault.
+_REPEATS_BEFORE = "// header ; not code\n\nf.m ; // a note\n" + "f.m ; " * 300 + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        (_REPEATS_BEFORE + "   ?bad ; f.m", 5, 4, "unrecognized instruction '?bad'"),
+        # A blank instruction is placed at the ';' that ends it.
+        (_REPEATS_BEFORE + "f.m ;\n  f.m ;  #1 ; \t;", 6, 16, "empty instruction"),
+        (_REPEATS_BEFORE + "#2 ; set:1:0 ; ! ; set:1:0", 5, 6, "register literal must be >= 1"),
+        # The faulty token repeats later: its first occurrence is reported.
+        ("f.m ; // set:1:0\n  set:1:0 ; " + "set:1:0 ; " * 50, 2, 3, "register literal must be >= 1"),
+        ("f.m ; ?x ;\n?y ; ?x", 1, 7, "unrecognized instruction '?x'"),
+        ("f.m ; !  // trailing\n;", 2, 2, "empty instruction"),
+    ],
+    ids=["unknown", "blank", "bad-literal", "repeated-fault", "first-of-two", "trailing-separator"],
+)
+def test_parse_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"{line}:{column}: {message}"
+
+
 def test_parse_error_on_empty_instruction():
     with pytest.raises(ParseError):
         parse_program("f.m ; ; !")

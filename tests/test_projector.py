@@ -7,11 +7,14 @@ from pglblab.isa import (
     AuxSpec,
     BwdJump,
     FwdJump,
+    NegTest,
+    PosTest,
     ToolParams,
     is_pglb,
     parse_program,
     render_program,
 )
+import pglblab.projector as projector
 from pglblab.projector import (
     OracleSuite,
     check_equivalence,
@@ -19,7 +22,7 @@ from pglblab.projector import (
     specialize,
     thread_jumps,
 )
-from pglblab.vm import Status
+from pglblab.vm import MachineConfig, OracleExhausted, Scripted, Status, initial_config, step
 
 P11 = ToolParams(maxr=1, maxn=1)
 P12 = ToolParams(maxr=1, maxn=2)
@@ -401,3 +404,79 @@ def test_projections_do_no_analysis(monkeypatch):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     assert is_pglb(specialize(graph).output)
     assert is_pglb(dispatch_project(p, P12).output)
+
+
+# --- check_equivalence on the interpreter kernel vs a vm.step reference ---
+
+
+def step_reply_prefixes(p, params, depth, step_limit):
+    """Reference enumerator: one vm.step call per instruction."""
+    seqs = set()
+    stack = [(initial_config(p, params, Scripted(())), 0, ())]
+    while stack:
+        cfg, steps, sigma = stack.pop()
+        if cfg.status is not Status.RUNNING or steps >= step_limit:
+            seqs.add(sigma)
+            continue
+        u = p.at(cfg.pc)
+        if isinstance(u, (PosTest, NegTest)) and u.basic.focus not in cfg.cells:
+            if len(sigma) >= depth:
+                seqs.add(sigma)
+                continue
+            for r in (False, True):
+                branch = MachineConfig(cfg.pc, cfg.registers, cfg.cells, Scripted((r,)))
+                stack.append((step(p, branch)[0], steps + 1, sigma + (r,)))
+        else:
+            stack.append((step(p, cfg)[0], steps + 1, sigma))
+    return seqs
+
+
+def step_run_bounded(p, params, oracle, step_limit):
+    """Reference bounded run: one vm.step call per instruction."""
+    cfg = initial_config(p, params, oracle)
+    events = []
+    for _ in range(step_limit):
+        try:
+            cfg, event = step(p, cfg)
+        except OracleExhausted:
+            return tuple(events), None
+        events.append(event)
+        if cfg.status is not Status.RUNNING:
+            return tuple(events), cfg.status
+    return tuple(events), Status.STEP_LIMIT
+
+
+def _check_cases():
+    params = ToolParams(maxr=1, maxn=2, step_limit=200)
+    p = parse_program("+f.m ; set:1:2 ; i#1 ; g.n ; +h.m ; ! ; #0")
+    report = dispatch_project(p, params)
+    yield "equivalent", p, report.output, report.output_params(params), (True, None, 8, 0)
+    p = parse_program("+f.m ; -g.n ; h.m ; +f.n ; !")
+    q = parse_program("+f.m ; -g.n ; h.m ; +f.n ; #0")
+    yield "different", p, q, params, (False, "exhaustive:FT", 2, 0)
+    # On a False first reply the loop requests g.n forever: cut at 200 steps.
+    loop = parse_program("+f.m ; ! ; set:1:1 ; g.n ; i\\#1")
+    report = dispatch_project(loop, params)
+    yield "loop", loop, report.output, report.output_params(params), (True, None, 7, 2)
+
+
+@pytest.mark.parametrize("case", list(_check_cases()), ids=lambda case: case[0])
+def test_check_equivalence_matches_a_step_by_step_reference(case, monkeypatch):
+    _, p, q, params, expected = case
+    suite = OracleSuite(exhaustive_depth=6)
+    verdict = check_equivalence(p, q, params, suite)
+    label = verdict.counterexample.oracle if verdict.counterexample else None
+    assert (verdict.equivalent, label, verdict.checked, verdict.inconclusive) == expected
+    monkeypatch.setattr(projector, "_reply_prefixes", step_reply_prefixes)
+    monkeypatch.setattr(projector, "_run_bounded", step_run_bounded)
+    assert check_equivalence(p, q, params, suite) == verdict
+
+
+def test_reply_prefixes_match_the_step_reference_on_random_programs():
+    params = ToolParams(maxr=2, maxn=3, step_limit=100)
+    for seed in range(120):
+        p = gen_random(9000 + seed, 4 + seed % 9, params)
+        for depth in (0, 3, 6):
+            assert projector._reply_prefixes(p, params, depth, 100) == step_reply_prefixes(
+                p, params, depth, 100
+            ), (seed, depth, str(p))

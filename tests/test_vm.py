@@ -1,13 +1,26 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pglblab.family import gen_scaling_family, gen_random
-from pglblab.isa import AuxSpec, ToolParams, parse_program
+from pglblab.isa import (
+    AuxSpec,
+    BasicInstruction,
+    NegTest,
+    Plain,
+    PosTest,
+    Program,
+    ToolParams,
+    parse_program,
+)
 from pglblab.vm import (
+    MachineConfig,
     OracleExhausted,
     Scripted,
     Seeded,
     Status,
+    Trace,
     UnknownCellMethod,
     bound_cell_foci,
     cell_reply,
@@ -256,3 +269,90 @@ def test_random_programs_always_settle(seed, length):
     assert len(t.events) <= 300
     # Event positions always lie inside the program.
     assert all(1 <= ev.position <= length for ev in t.events)
+
+
+# --- one interpreter: run equals a step-by-step replay through vm.step ---
+
+
+def replay_by_step(p, params, oracle):
+    """Reference run: one vm.step call per instruction."""
+    cfg = initial_config(p, params, oracle)
+    events = []
+    for _ in range(params.step_limit):
+        cfg, event = step(p, cfg)
+        events.append(event)
+        if cfg.status is not Status.RUNNING:
+            return Trace(tuple(events), cfg.status)
+    return Trace(tuple(events), Status.STEP_LIMIT)
+
+
+def outcome(runner, p, params, oracle):
+    try:
+        return runner(p, params, oracle)
+    except OracleExhausted as e:
+        return ("exhausted", str(e))
+
+
+_CELL_METHODS = ("get", "set:T", "set:F")
+
+
+def with_cells(p: Program, rng: random.Random) -> Program:
+    """`p` with focus h turned into the Boolean cell bool1."""
+    out = []
+    for u in p.instructions:
+        if type(u) in (Plain, PosTest, NegTest) and u.basic.focus == "h":
+            u = type(u)(BasicInstruction("bool1", rng.choice(_CELL_METHODS)))
+        out.append(u)
+    return Program(tuple(out))
+
+
+@pytest.mark.parametrize("cells", [False, True])
+@pytest.mark.parametrize("aux", ["", "f.*"])
+def test_run_equals_step_by_step_replay(cells, aux):
+    params = ToolParams(maxr=2, maxn=3, aux=AuxSpec.parse(aux), step_limit=120)
+    rng = random.Random(5)
+    exhausted = 0
+    for seed in range(150):
+        p = gen_random(seed, 4 + seed % 9, params)
+        if cells:
+            p = with_cells(p, rng)
+        script = Scripted(tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 6))))
+        for oracle in (Seeded(seed), script):
+            got = outcome(run, p, params, oracle)
+            assert got == outcome(replay_by_step, p, params, oracle), (seed, str(p))
+            exhausted += isinstance(got, tuple)
+            if not isinstance(got, tuple):
+                assert observable_trace(got, params) == observable_trace(
+                    replay_by_step(p, params, oracle), params
+                )
+    assert exhausted > 0  # the short scripts do run out
+
+
+def test_oracle_exhausted_message_counts_used_replies():
+    p = parse_program("+f.m ; +g.n ; +h.m ; !")
+    with pytest.raises(OracleExhausted, match="^scripted oracle exhausted after 2 replies$"):
+        run(p, P, Scripted((True, True)))
+    cfg = initial_config(p, P, Scripted((True,)))
+    cfg, _ = step(p, cfg)
+    with pytest.raises(OracleExhausted, match="^scripted oracle exhausted after 1 replies$"):
+        step(p, cfg)
+
+
+def test_step_leaves_its_input_configuration_unchanged():
+    p = parse_program("bool1.set:T ; set:1:2 ; +f.m ; !")
+    cfg = initial_config(p, ToolParams(maxr=1, maxn=2), Scripted((False,)))
+    first, _ = step(p, cfg)
+    second, _ = step(p, first)
+    assert cfg.cells == {"bool1": False} and first.cells == {"bool1": True}
+    assert first.registers == (0,) and second.registers == (2,)
+    third, event = step(p, second)
+    assert event.reply is False and third.pc == 0 and third.status is Status.DEADLOCKED
+    assert second.oracle._index == 0 and third.oracle._index == 1
+
+
+@pytest.mark.parametrize("pc", [0, -1, 3])
+def test_step_rejects_a_position_outside_the_program(pc):
+    p = parse_program("f.m ; !")
+    cfg = MachineConfig(pc, (0, 0), {}, Scripted(()))
+    with pytest.raises(IndexError, match=f"position {pc} out of range"):
+        step(p, cfg)
