@@ -24,8 +24,10 @@ from .isa import (
     IndBwdJump,
     IndFwdJump,
     Instruction,
+    InvalidProgram,
     NegTest,
     ParseError,
+    PglbError,
     Plain,
     PosTest,
     Program,
@@ -59,7 +61,7 @@ from .vm import (
     TraceEvent,
     UnknownCellMethod,
     cell_reply,
-    observable_trace,
+    observable_events,
     parse_oracle_script,
     run,
     step,

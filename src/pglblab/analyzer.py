@@ -16,7 +16,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .isa import (
@@ -29,11 +28,12 @@ from .isa import (
     Instruction,
     NegTest,
     Plain,
+    PglbError,
     PosTest,
     Program,
     RegSet,
     ToolParams,
-    validate,
+    require_valid,
 )
 from .vm import MachineConfig, Scripted, Status, step
 
@@ -69,7 +69,7 @@ class StateNode(NamedTuple):
     registers: tuple[int, ...]
 
 
-class StateLimitExceeded(RuntimeError):
+class StateLimitExceeded(PglbError, RuntimeError):
     def __init__(self, limit: int):
         self.limit = limit
         super().__init__(f"state graph exceeds the configured limit of {limit} nodes")
@@ -121,8 +121,7 @@ class StateGraph:
     holds the registers in base `radix` = maxn + 1, register 1 least
     significant.  Its successors are `targets[offsets[i]:offsets[i + 1]]`
     in branch order: a test lists on-true before on-false, and an outcome
-    that deadlocks has no entry.  `edges`, `terminated` and `deadlocked`
-    decode the graph to StateNodes on first use.
+    that deadlocks has no entry.
     """
 
     program: Program
@@ -150,45 +149,25 @@ class StateGraph:
         return self.targets[self.offsets[i]:self.offsets[i + 1]]
 
     def node(self, i: int) -> StateNode:
-        regs_code, pc = divmod(self.codes[i], len(self.program) + 1)
-        regs = []
-        for _ in range(self.maxr):
-            regs_code, v = divmod(regs_code, self.radix)
-            regs.append(v)
-        return StateNode(pc, tuple(regs))
+        return self.decoder()(i)
 
-    @cached_property
-    def state_nodes(self) -> list[StateNode]:
-        """Every node decoded, by id."""
-        return [self.node(i) for i in range(len(self.codes))]
+    def decoder(self) -> Callable[[int], StateNode]:
+        """`node` as a function that keeps the codes alive, not the graph."""
+        codes, base, radix, maxr = self.codes, len(self.program) + 1, self.radix, self.maxr
 
-    @cached_property
-    def edges(self) -> dict[StateNode, tuple[StateNode, ...]]:
-        nodes = self.state_nodes
-        return {n: tuple(nodes[t] for t in self.successors(i)) for i, n in enumerate(nodes)}
+        def node(i: int) -> StateNode:
+            regs_code, pc = divmod(codes[i], base)
+            regs = []
+            for _ in range(maxr):
+                regs_code, v = divmod(regs_code, radix)
+                regs.append(v)
+            return StateNode(pc, tuple(regs))
 
-    @cached_property
-    def terminated(self) -> frozenset[StateNode]:
-        ins = self.program.instructions
-        return frozenset(n for n in self.state_nodes if type(ins[n.pc - 1]) is Halt)
-
-    @cached_property
-    def deadlocked(self) -> frozenset[StateNode]:
-        """States with an outcome that leaves the program or reads a zero
-        jump distance: fewer successors than the instruction has branches."""
-        ins, offsets = self.program.instructions, self.offsets
-        branches = {Halt: 0, PosTest: 2, NegTest: 2}
-        return frozenset(
-            n
-            for i, n in enumerate(self.state_nodes)
-            if offsets[i + 1] - offsets[i] < branches.get(type(ins[n.pc - 1]), 1)
-        )
+        return node
 
 
 def build_state_graph(p: Program, params: ToolParams) -> StateGraph:
-    diags = validate(p, params)
-    if diags:
-        raise ValueError("invalid program: " + "; ".join(map(str, diags)))
+    require_valid(p, params)
     length = len(p)
     base = length + 1
     radix = params.maxn + 1
@@ -305,7 +284,7 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
     wpc = _position_weights(graph.program, aux)
     w = [wpc[c % base] for c in graph.codes]
     offsets, targets = graph.offsets, graph.targets
-    node = graph.node
+    node = graph.decoder()
 
     anchors = [i for i, x in enumerate(w) if not x]
     if not anchors:
@@ -477,9 +456,7 @@ def brute_force_mid(p: Program, params: ToolParams, depth: int) -> int:
     remaining steps is pruned — the continuations are a subset of what was
     already explored, so the result is that of the full enumeration.
     """
-    diags = validate(p, params)
-    if diags:
-        raise ValueError("invalid program: " + "; ".join(map(str, diags)))
+    require_valid(p, params)
     aux = params.aux
     # No cell bindings: every test reply is a free choice, as in the graph.
     initial = MachineConfig(1, (0,) * params.maxr, {}, Scripted(()))

@@ -20,7 +20,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analyzer import (
-    StateLimitExceeded,
     build_state_graph,
     compute_mid,
     id_weight,
@@ -32,13 +31,13 @@ from .isa import (
     AuxSpec,
     IndBwdJump,
     IndFwdJump,
-    ParseError,
+    InvalidProgram,
+    PglbError,
     Program,
     RegSet,
     ToolParams,
     parse_program,
     render_program,
-    validate,
 )
 from .projector import (
     OracleSuite,
@@ -51,16 +50,14 @@ from .vm import (
     OracleExhausted,
     Scripted,
     Seeded,
-    UnknownCellMethod,
     parse_oracle_script,
     run,
     trace_text,
 )
 
-class CLIError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
+
+class CLIError(PglbError):
+    """A refusal of the command line itself: a config, file or oracle fault."""
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -169,14 +166,6 @@ def read_program(path: str) -> tuple[Program, str, Path | None]:
     return parse_program(text), path, Path(path).with_suffix(".cfg")
 
 
-def _validate_or_die(p: Program, params: ToolParams, name: str) -> None:
-    diags = validate(p, params)
-    if diags:
-        for d in diags:
-            print(f"{name}: {d}", file=sys.stderr)
-        raise CLIError(f"{len(diags)} diagnostic(s)")
-
-
 def _make_oracle(spec: str | None):
     if spec is None:
         return Scripted(())
@@ -191,10 +180,10 @@ def _make_oracle(spec: str | None):
 
 def _cmd_run(args) -> int:
     p, name, sidecar = read_program(args.file)
+    args.names = {id(p): name}
     params = resolve_params(args, programs=(p,), sidecars=(sidecar,))
     if args.steps is not None:
         params = replace(params, step_limit=args.steps)
-    _validate_or_die(p, params, name)
     try:
         trace = run(p, params, _make_oracle(args.oracle))
     except OracleExhausted:
@@ -205,8 +194,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_mid(args) -> int:
     p, name, sidecar = read_program(args.file)
+    args.names = {id(p): name}
     params = resolve_params(args, programs=(p,), sidecars=(sidecar,))
-    _validate_or_die(p, params, name)
     graph = build_state_graph(p, params)
     result = compute_mid(graph, params.aux)
     print(f"MID = {result.text}")
@@ -231,8 +220,8 @@ def _params_config_text(params: ToolParams, cells: frozenset[str] | None) -> str
 
 def _cmd_project(args) -> int:
     p, name, sidecar = read_program(args.file)
+    args.names = {id(p): name}
     params = resolve_params(args, programs=(p,), sidecars=(sidecar,))
-    _validate_or_die(p, params, name)
     if args.mode == "specialize":
         graph = build_state_graph(p, params)
         report = specialize(graph)
@@ -319,9 +308,8 @@ def _cmd_bench(args) -> int:
 def _cmd_check(args) -> int:
     p, p_name, p_sidecar = read_program(args.p)
     q, q_name, q_sidecar = read_program(args.q)
+    args.names = {id(p): p_name, id(q): q_name}
     params = resolve_params(args, programs=(p, q), sidecars=(p_sidecar, q_sidecar))
-    _validate_or_die(p, params, p_name)
-    _validate_or_die(q, params, q_name)
     suite = OracleSuite(exhaustive_depth=args.depth)
     verdict = check_equivalence(p, q, params, suite)
     if verdict.equivalent:
@@ -419,18 +407,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CLIError as e:
-        print(f"pglblab: {e}", file=sys.stderr)
+    except PglbError as e:
+        message = str(e)
+        if isinstance(e, InvalidProgram):
+            # One line per diagnostic, named after the input that has it.
+            for d in e.diagnostics:
+                print(f"{args.names[id(e.program)]}: {d}", file=sys.stderr)
+            message = f"{len(e.diagnostics)} diagnostic(s)"
+        print(f"pglblab: {message}", file=sys.stderr)
         return e.code
-    except ParseError as e:
-        print(f"pglblab: {e}", file=sys.stderr)
-        return 1
-    except StateLimitExceeded as e:
-        print(f"pglblab: {e}", file=sys.stderr)
-        return 1
-    except UnknownCellMethod as e:
-        print(f"pglblab: unknown method {e} on a Boolean cell", file=sys.stderr)
-        return 1
     except ValueError as e:
         print(f"pglblab: {e}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 FOCUS_PATTERN = re.compile(r"[a-z][a-z0-9]*")
 METHOD_PATTERN = re.compile(r"[a-zA-Z][a-zA-Z0-9]*(?::[a-zA-Z0-9]+)*")
@@ -18,7 +18,14 @@ METHOD_PATTERN = re.compile(r"[a-zA-Z][a-zA-Z0-9]*(?::[a-zA-Z0-9]+)*")
 RESERVED_FOCUS = "set"
 
 
-class ParseError(ValueError):
+class PglbError(Exception):
+    """Base of the library's typed refusals: the command line prints each
+    as `pglblab: <message>` and exits with `code`."""
+
+    code = 1
+
+
+class ParseError(PglbError, ValueError):
     """Raised on malformed program text; carries the 1-based source position."""
 
     def __init__(self, message: str, line: int, column: int, token: str = ""):
@@ -182,9 +189,6 @@ class Program:
         if not 1 <= position <= len(self.instructions):
             raise IndexError(f"position {position} out of range")
         return self.instructions[position - 1]
-
-    def positions(self) -> Iterator[int]:
-        return iter(range(1, len(self.instructions) + 1))
 
     def __str__(self) -> str:
         return render_program(self)
@@ -367,6 +371,22 @@ def validate(p: Program, params: ToolParams) -> list[Diagnostic]:
         if reg > params.maxr:
             out.append(Diagnostic(pos, f"register index {reg} exceeds maxr={params.maxr}"))
     return out
+
+
+class InvalidProgram(PglbError, ValueError):
+    """A program that fails `validate`; carries it and its diagnostics."""
+
+    def __init__(self, program: Program, diagnostics: list[Diagnostic]):
+        self.program = program
+        self.diagnostics = diagnostics
+        super().__init__("invalid program: " + "; ".join(map(str, diagnostics)))
+
+
+def require_valid(p: Program, params: ToolParams) -> None:
+    """Raise InvalidProgram unless `validate` finds nothing."""
+    diags = validate(p, params)
+    if diags:
+        raise InvalidProgram(p, diags)
 
 
 def is_pglb(p: Program) -> bool:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from typing import Callable
 
-from .analyzer import MidResult, StateGraph, StateNode
+from .analyzer import MidResult, StateGraph
 from .isa import (
     AuxSpec,
     BasicInstruction,
@@ -41,7 +42,7 @@ from .isa import (
     ToolParams,
     basic_of,
     is_pglb,
-    validate,
+    require_valid,
 )
 from .vm import (
     MachineConfig,
@@ -58,28 +59,21 @@ from .vm import (
 
 @dataclass(frozen=True)
 class RelocationMap:
-    """old key -> (new block start, new block length).
+    """Old key i -> (new block start `starts[i]`, new block length `sizes[i]`).
 
-    Keys are 1-based old positions for dispatch_project and StateNodes for
+    `key(i)` renders old key i, only when `to_csv` asks: the 1-based old
+    position for dispatch_project, the source state `pc:r1-r2-...` for
     specialize.
     """
 
-    entries: dict
-
-    def block_start(self, key) -> int:
-        return self.entries[key][0]
-
-    def block_len(self, key) -> int:
-        return self.entries[key][1]
+    starts: list[int]
+    sizes: list[int]
+    key: Callable[[int], str]
 
     def to_csv(self) -> str:
         lines = ["old_key,new_start,new_len"]
-        for key, (start, length) in self.entries.items():
-            if isinstance(key, StateNode):
-                rendered = f"{key.pc}:" + "-".join(str(v) for v in key.registers)
-            else:
-                rendered = str(key)
-            lines.append(f"{rendered},{start},{length}")
+        for i, (start, length) in enumerate(zip(self.starts, self.sizes)):
+            lines.append(f"{self.key(i)},{start},{length}")
         return "\n".join(lines) + "\n"
 
 
@@ -192,7 +186,13 @@ def specialize(graph: StateGraph) -> ProjectionReport:
             out.append(succ_jump(base, succs[0] if succs else None))
 
     output = Program(tuple(out))
-    relocation = RelocationMap(dict(zip(graph.state_nodes, zip(starts, sizes))))
+    node = graph.decoder()
+
+    def state_key(i: int) -> str:
+        pc, registers = node(i)
+        return f"{pc}:" + "-".join(map(str, registers))
+
+    relocation = RelocationMap(starts, sizes, state_key)
     return ProjectionReport("specialize", p, output, relocation, frozenset())
 
 
@@ -221,28 +221,23 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
     targets deadlock.  Raises ValueError, before emitting anything, when
     the output would be longer than params.state_limit.
     """
-    diags = validate(p, params)
-    if diags:
-        raise ValueError("invalid program: " + "; ".join(map(str, diags)))
+    require_valid(p, params)
     length = len(p)
     bits = params.maxn.bit_length()
     prefix = _fresh_cell_prefix(p)
     tree = _tree_size(bits)
 
+    size_of = {RegSet: bits, IndFwdJump: tree, IndBwdJump: tree}
     sizes = [0] * (length + 2)
     for pos in range(length, 0, -1):
-        match p.at(pos):
-            case RegSet():
-                sizes[pos] = bits
-            case IndFwdJump() | IndBwdJump():
-                sizes[pos] = tree
-            case PosTest() | NegTest():
-                # A bare test skips exactly one output instruction on its
-                # non-proceeding reply, so it can only be copied verbatim
-                # when the following block is a single instruction.
-                sizes[pos] = 1 if (pos + 1 > length or sizes[pos + 1] == 1) else 3
-            case _:
-                sizes[pos] = 1
+        kind = type(p.at(pos))
+        if kind is PosTest or kind is NegTest:
+            # A bare test skips exactly one output instruction on its
+            # non-proceeding reply, so it can only be copied verbatim
+            # when the following block is a single instruction.
+            sizes[pos] = 1 if (pos + 1 > length or sizes[pos + 1] == 1) else 3
+        else:
+            sizes[pos] = size_of.get(kind, 1)
     starts = [0] * (length + 1)
     at = 1
     for pos in range(1, length + 1):
@@ -300,10 +295,8 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
             case Halt() | Plain():
                 out.append(u)
             case PosTest() | NegTest():
-                if sizes[pos] == 1:
-                    out.append(u)
-                else:
-                    out.append(u)
+                out.append(u)
+                if sizes[pos] != 1:
                     out.append(retarget(base + 1, pos + 1))
                     out.append(retarget(base + 2, pos + 2))
             case FwdJump(l):
@@ -321,9 +314,7 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
                 end = emit_tree(i, -1, pos, base)
                 assert end == base + tree
 
-    relocation = RelocationMap(
-        {pos: (starts[pos], sizes[pos]) for pos in range(1, length + 1)}
-    )
+    relocation = RelocationMap(starts[1:], sizes[1 : length + 1], lambda i: str(i + 1))
     return ProjectionReport("dispatch", p, Program(tuple(out)), relocation, frozenset(aux_used))
 
 
@@ -437,10 +428,8 @@ def check_equivalence(
     verdict is drawn from the cut itself.  The first disagreement under the
     fixed oracle ordering is reported.
     """
-    for prog in (p, q):
-        diags = validate(prog, params)
-        if diags:
-            raise ValueError("invalid program: " + "; ".join(map(str, diags)))
+    require_valid(p, params)
+    require_valid(q, params)
     aux = params.aux
     budget = min(params.step_limit, suite.step_limit)
     checked = 0

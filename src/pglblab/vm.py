@@ -24,6 +24,7 @@ from .isa import (
     IndFwdJump,
     Instruction,
     NegTest,
+    PglbError,
     Plain,
     PosTest,
     Program,
@@ -31,7 +32,7 @@ from .isa import (
     ToolParams,
     basic_of,
     render_instruction,
-    validate,
+    require_valid,
 )
 
 _AUTO_CELL_FOCUS = re.compile(r"bool[0-9]+")
@@ -44,12 +45,15 @@ class Status(Enum):
     STEP_LIMIT = "StepLimit"
 
 
-class OracleExhausted(RuntimeError):
+class OracleExhausted(PglbError, RuntimeError):
     """A scripted oracle ran out of replies mid-run."""
 
 
-class UnknownCellMethod(RuntimeError):
+class UnknownCellMethod(PglbError, RuntimeError):
     """A Boolean cell received a method other than set:T, set:F or get."""
+
+    def __init__(self, method: str):
+        super().__init__(f"unknown method {method} on a Boolean cell")
 
 
 def cell_reply(contents: bool, method: str) -> tuple[bool, bool]:
@@ -133,12 +137,6 @@ class ObservableEvent(NamedTuple):
     focus: str
     method: str
     reply: bool
-
-
-@dataclass(frozen=True)
-class ObservableTrace:
-    events: tuple[ObservableEvent, ...]
-    final: Status
 
 
 @dataclass(frozen=True)
@@ -267,9 +265,7 @@ def step(p: Program, cfg: MachineConfig) -> tuple[MachineConfig, TraceEvent]:
 
 def run(p: Program, params: ToolParams, oracle: ReplyOracle) -> Trace:
     """Run from position 1 until termination, deadlock, or the step limit."""
-    diags = validate(p, params)
-    if diags:
-        raise ValueError("invalid program: " + "; ".join(map(str, diags)))
+    require_valid(p, params)
     events, final, end = execute(p, initial_config(p, params, oracle), params.step_limit)
     if final is None:
         raise end.oracle.exhausted()
@@ -287,10 +283,6 @@ def observable_events(
             assert ev.reply is not None
             out.append(ObservableEvent(b.focus, b.method, ev.reply))
     return tuple(out)
-
-
-def observable_trace(t: Trace, params: ToolParams) -> ObservableTrace:
-    return ObservableTrace(observable_events(t.events, params.aux), t.final)
 
 
 def trace_text(t: Trace) -> str:

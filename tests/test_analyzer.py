@@ -1,5 +1,3 @@
-from collections import deque
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +16,9 @@ from pglblab.family import gen_random
 from pglblab.isa import (
     AuxSpec,
     BasicInstruction,
+    Halt,
+    NegTest,
+    PosTest,
     ToolParams,
     parse_program,
 )
@@ -26,21 +27,27 @@ NO_AUX = AuxSpec()
 X_AUX = AuxSpec.parse("x.*")
 
 
-def is_acyclic(graph):
-    indeg = dict.fromkeys(graph.edges, 0)
-    for succs in graph.edges.values():
-        for t in succs:
-            indeg[t] += 1
-    queue = deque(n for n, d in indeg.items() if d == 0)
-    seen = 0
-    while queue:
-        n = queue.popleft()
-        seen += 1
-        for t in graph.edges[n]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    return seen == graph.node_count
+def decoded_edges(graph):
+    """{state: successor states in branch order}, decoded with `node`."""
+    return {
+        graph.node(i): tuple(map(graph.node, graph.successors(i)))
+        for i in range(graph.node_count)
+    }
+
+
+def terminated(graph, edges):
+    """States at a halt."""
+    return {n for n in edges if type(graph.program.at(n.pc)) is Halt}
+
+
+def deadlocked(graph, edges):
+    """States with an outcome that leaves the program or reads a zero jump
+    distance: fewer successors than the instruction has branches."""
+    branches = {Halt: 0, PosTest: 2, NegTest: 2}
+    return {
+        n for n, succs in edges.items()
+        if len(succs) < branches.get(type(graph.program.at(n.pc)), 1)
+    }
 
 
 def mid_of(text, params, aux=NO_AUX):
@@ -64,13 +71,14 @@ def test_state_graph_of_register_program():
     p = parse_program("set:1:2 ; i#1 ; ! ; !")
     g = build_state_graph(p, ToolParams(maxr=1, maxn=2))
     assert g.node_count == 3
-    assert set(g.edges) == {
+    edges = decoded_edges(g)
+    assert set(edges) == {
         StateNode(1, (0,)),
         StateNode(2, (2,)),
         StateNode(4, (2,)),
     }
-    assert g.terminated == {StateNode(4, (2,))}
-    assert g.deadlocked == frozenset()
+    assert terminated(g, edges) == {StateNode(4, (2,))}
+    assert deadlocked(g, edges) == set()
     assert g.edge_count == 2
 
 
@@ -78,8 +86,9 @@ def test_state_graph_branches_on_tests():
     p = parse_program("+f.m ; ! ; #0")
     g = build_state_graph(p, ToolParams(maxr=1, maxn=1))
     assert g.node_count == 3
-    assert g.edges[StateNode(1, (0,))] == (StateNode(2, (0,)), StateNode(3, (0,)))
-    assert StateNode(3, (0,)) in g.deadlocked
+    edges = decoded_edges(g)
+    assert edges[StateNode(1, (0,))] == (StateNode(2, (0,)), StateNode(3, (0,)))
+    assert StateNode(3, (0,)) in deadlocked(g, edges)
 
 
 def test_state_graph_respects_limit():
@@ -196,7 +205,7 @@ def test_brute_force_agrees_on_handmade_example():
     assert brute_force_mid(p, params, 60) == 3
 
 
-def test_brute_force_matches_analysis_on_acyclic_random_programs():
+def test_brute_force_matches_analysis_on_acyclic_random_programs(is_acyclic):
     params = ToolParams(maxr=2, maxn=3)
     checked = 0
     seed = 0
@@ -236,7 +245,7 @@ def test_enlarging_aux_only_lowers_mid_by_consuming_anchors(seed, length):
     big = AuxSpec.parse("f.*")
 
     def anchor_pcs(aux):
-        return {n.pc for n in g.edges if id_weight(p.at(n.pc), aux) == 0}
+        return {pc for pc in g.pcs() if id_weight(p.at(pc), aux) == 0}
 
     before = compute_mid(g, small).finite_value
     after = compute_mid(g, big).finite_value

@@ -1,4 +1,5 @@
 import io
+import sys
 
 import pytest
 
@@ -439,3 +440,79 @@ def test_threading_that_changes_nothing_is_not_analysed_again(
         f"midBefore={mid_before}\nmidAfter={mid_after}\nauxIntroduced=\n"
         f"threaded=1\nmidAfterThreaded={mid_after}\n"
     )
+
+
+def count_validations(monkeypatch) -> list:
+    import pglblab.isa as isa
+
+    checked = []
+    real_validate = isa.validate
+
+    def validate(p, params):
+        checked.append(p)
+        return real_validate(p, params)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("pglblab") and getattr(module, "validate", None) is real_validate:
+            monkeypatch.setattr(module, "validate", validate)
+    return checked
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("run", "{p}"), 1),
+        (("mid", "{p}"), 1),
+        (("check", "{p}", "{q}"), 2),
+        (("project", "{p}", "--mode", "specialize", "--out-dir", "{out}"), 1),
+        # dispatch checks the program before its output-size refusal, and
+        # the source's state-graph build checks it again.
+        (("project", "{p}", "--mode", "dispatch", "--out-dir", "{out}"), 2),
+    ],
+)
+def test_each_command_validates_its_inputs_once(argv, count, tmp_path, capsys, monkeypatch):
+    # Inputs with registers, so no projection output equals an input.
+    texts = {"p": "set:1:1 ; i#1 ; f.m ; !", "q": "set:1:1 ; #1 ; f.m ; !"}
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.pglb"
+        paths[name].write_text(text + "\n")
+    inputs = [parse_program(text) for text in texts.values()]
+    checked = count_validations(monkeypatch)
+    code, _, _ = invoke(capsys, *(a.format(out=tmp_path, **paths) for a in argv))
+    assert code == 0
+    assert sum(p in inputs for p in checked) == count
+
+
+BAD_TEXT = "set:2:9 ; i#2 ; !\n"
+
+
+def bad_diagnostics(name) -> str:
+    return (
+        f"{name}: position 1: register literal 9 exceeds maxn=3\n"
+        f"{name}: position 1: register index 2 exceeds maxr=1\n"
+        f"{name}: position 2: register index 2 exceeds maxr=1\n"
+        "pglblab: 3 diagnostic(s)\n"
+    )
+
+
+def test_invalid_run_input_prints_its_diagnostics(tmp_path, capsys):
+    bad = tmp_path / "bad.pglb"
+    bad.write_text(BAD_TEXT)
+    code, stdout, stderr = invoke(capsys, "run", str(bad), "--maxr", "1", "--maxn", "3")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == bad_diagnostics(bad)
+
+
+@pytest.mark.parametrize("bad_side", ["p", "q"])
+def test_check_names_the_invalid_program(bad_side, tmp_path, capsys):
+    bad = tmp_path / "bad.pglb"
+    bad.write_text(BAD_TEXT)
+    good = tmp_path / "good.pglb"
+    good.write_text("f.m ; !\n")
+    pair = (bad, good) if bad_side == "p" else (good, bad)
+    code, stdout, stderr = invoke(capsys, "check", *map(str, pair), "--maxr", "1", "--maxn", "3")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == bad_diagnostics(bad)

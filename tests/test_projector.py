@@ -47,6 +47,11 @@ def specialize_program(p, params):
     return specialize(build_state_graph(p, params))
 
 
+def relocation_blocks(report):
+    """(new start, new length) per old key, in key order."""
+    return list(zip(report.relocation.starts, report.relocation.sizes))
+
+
 # --- specialize ---
 
 
@@ -66,9 +71,11 @@ def test_specialize_emits_reachable_states_only():
 
 
 def test_specialize_pos_test_block():
-    report = specialize(build_state_graph(parse_program("+f.m ; ! ; #0"), P11))
+    graph = build_state_graph(parse_program("+f.m ; ! ; #0"), P11)
+    report = specialize(graph)
     assert render_program(report.output) == "+f.m ; #2 ; #2 ; ! ; #0"
-    assert report.relocation.entries == {
+    blocks = relocation_blocks(report)
+    assert {graph.node(i): block for i, block in enumerate(blocks)} == {
         StateNode(1, (0,)): (1, 3),
         StateNode(2, (0,)): (4, 1),
         StateNode(3, (0,)): (5, 1),
@@ -99,9 +106,8 @@ def test_specialize_output_is_register_free():
 def test_specialize_relocation_partitions_output():
     p = parse_program("set:1:2 ; +f.m ; i#1 ; g.n ; !")
     report = specialize(build_state_graph(p, P12))
-    entries = sorted(report.relocation.entries.values())
     at = 1
-    for start, size in entries:
+    for start, size in sorted(relocation_blocks(report)):
         assert start == at
         at += size
     assert at == report.length_after + 1
@@ -111,7 +117,8 @@ def test_specialize_unfolds_register_states():
     # Same position reached with two register values becomes two blocks.
     p = parse_program("+f.m ; #3 ; set:1:1 ; set:1:2 ; i#1 ; ! ; !")
     report = specialize(build_state_graph(p, P12))
-    pcs = [node.pc for node in report.relocation.entries]
+    rows = report.relocation.to_csv().splitlines()[1:]
+    pcs = [int(row.split(":")[0]) for row in rows]
     assert pcs.count(5) == 2
     assert equivalent(p, report.output, P12).equivalent
 
@@ -157,8 +164,7 @@ def test_dispatch_two_bit_tree_golden():
 
 def test_dispatch_relocation_uses_positions():
     report = dispatch_project(parse_program("set:1:2 ; i#1 ; ! ; !"), P12)
-    assert report.relocation.entries == {1: (1, 2), 2: (3, 8), 3: (11, 1), 4: (12, 1)}
-    assert report.relocation.to_csv().splitlines()[1] == "1,1,2"
+    assert report.relocation.to_csv().splitlines()[1:] == ["1,1,2", "2,3,8", "3,11,1", "4,12,1"]
 
 
 def test_dispatch_test_copied_bare_before_unit_block():

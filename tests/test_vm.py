@@ -25,7 +25,7 @@ from pglblab.vm import (
     bound_cell_foci,
     cell_reply,
     initial_config,
-    observable_trace,
+    observable_events,
     parse_oracle_script,
     run,
     step,
@@ -179,8 +179,7 @@ def test_family_first_branch_pair_selected_by_two_trues():
     params = fp.tool_params(cell_foci=frozenset())  # route bool1 to the oracle
     t = run(p, params, Scripted((True, True)))
     assert t.final is Status.TERMINATED
-    obs = observable_trace(t, params)
-    foci = [ev.focus for ev in obs.events]
+    foci = [ev.focus for ev in observable_events(t.events, params.aux)]
     assert foci == ["bool1", "bool1", "a1", "ap1"]
 
 
@@ -189,8 +188,8 @@ def test_family_all_false_halts_in_first_chunk():
     params = fp.tool_params(cell_foci=frozenset())
     t = run(p, params, Scripted((False, False)))
     assert t.final is Status.TERMINATED
-    obs = observable_trace(t, params)
-    assert [ev.focus for ev in obs.events] == ["bool1", "bool1"]
+    obs = observable_events(t.events, params.aux)
+    assert [ev.focus for ev in obs] == ["bool1", "bool1"]
 
 
 def test_family_under_default_binding_is_deterministic():
@@ -224,9 +223,9 @@ def test_observable_trace_filters_aux_and_non_basics():
     p = parse_program("aux1.m ; f.m ; #2 ; ! ; !")
     params = ToolParams(aux=AuxSpec.parse("aux1.*"))
     t = run(p, params, Scripted(()))
-    obs = observable_trace(t, params)
-    assert [(ev.focus, ev.method, ev.reply) for ev in obs.events] == [("f", "m", True)]
-    assert obs.final is Status.TERMINATED
+    obs = observable_events(t.events, params.aux)
+    assert [(ev.focus, ev.method, ev.reply) for ev in obs] == [("f", "m", True)]
+    assert t.final is Status.TERMINATED
 
 
 def test_trace_text_golden():
@@ -322,9 +321,11 @@ def test_run_equals_step_by_step_replay(cells, aux):
             assert got == outcome(replay_by_step, p, params, oracle), (seed, str(p))
             exhausted += isinstance(got, tuple)
             if not isinstance(got, tuple):
-                assert observable_trace(got, params) == observable_trace(
-                    replay_by_step(p, params, oracle), params
+                ref = replay_by_step(p, params, oracle)
+                assert observable_events(got.events, params.aux) == observable_events(
+                    ref.events, params.aux
                 )
+                assert got.final == ref.final
     assert exhausted > 0  # the short scripts do run out
 
 
