@@ -2,12 +2,10 @@
 analysis, and projections onto the register-free fragment."""
 
 from .analyzer import (
-    Finite,
     MidResult,
     StateGraph,
     StateLimitExceeded,
     StateNode,
-    Unbounded,
     brute_force_mid,
     build_state_graph,
     compute_mid,

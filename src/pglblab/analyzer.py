@@ -55,15 +55,6 @@ def id_weight(u: Instruction, aux: AuxPredicate) -> int:
     raise TypeError(f"not an instruction: {u!r}")
 
 
-def _position_weights(p: Program, aux: AuxPredicate) -> list[int]:
-    """id_weight per 1-based position; index 0 is unused."""
-    out = [0]
-    for u in p.instructions:
-        w = _FIXED_WEIGHT.get(type(u))
-        out.append((1 if aux(u.basic) else 0) if w is None else w)
-    return out
-
-
 class StateNode(NamedTuple):
     pc: int
     registers: tuple[int, ...]
@@ -223,27 +214,18 @@ def build_state_graph(p: Program, params: ToolParams) -> StateGraph:
 
 
 @dataclass(frozen=True)
-class Finite:
-    value: int
-
-
-@dataclass(frozen=True)
-class Unbounded:
-    pass
-
-
-@dataclass(frozen=True)
 class MidResult:
     """Outcome of the MID computation.
 
-    For a Finite value, `witness` is a run segment (state sequence) with
-    zero-weight endpoints achieving the value.  For Unbounded, the
-    (stem, cycle, exit_path) triple exhibits a positive-weight anchor-free
-    cycle with anchors on both sides, and `witness` is one replayable pass:
-    stem, one full cycle lap, exit.
+    `value` is the MID, or None when it is unbounded.  For a finite value,
+    `witness` is a run segment (state sequence) with zero-weight endpoints
+    achieving it.  For an unbounded one, the (stem, cycle, exit_path)
+    triple exhibits a positive-weight anchor-free cycle with anchors on
+    both sides, and `witness` is one replayable pass: stem, one full cycle
+    lap, exit.
     """
 
-    value: Finite | Unbounded
+    value: int | None
     witness: tuple[StateNode, ...]
     stem: tuple[StateNode, ...] = ()
     cycle: tuple[StateNode, ...] = ()
@@ -253,14 +235,9 @@ class MidResult:
     open_tail_unbounded: bool = False
 
     @property
-    def finite_value(self) -> int | None:
-        return self.value.value if isinstance(self.value, Finite) else None
-
-    @property
     def text(self) -> str:
         """The value as printed: the number, or `unbounded`."""
-        v = self.finite_value
-        return "unbounded" if v is None else str(v)
+        return "unbounded" if self.value is None else str(self.value)
 
 
 def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
@@ -273,7 +250,7 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
     order, so each finished SCC sees its successors' results already set:
 
     * a non-trivial closing SCC is a positive cycle with anchors on both
-      sides, so MID is Unbounded;
+      sides, so MID is unbounded;
     * a non-trivial SCC that does not close pumps weight into a run that
       never meets an anchor again, so the open tail is unbounded;
     * a single state gets its longest interior weight to an anchor (the
@@ -281,14 +258,14 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
       open-tail DP), each the first maximum over successors in edge order.
     """
     base = len(graph.program) + 1
-    wpc = _position_weights(graph.program, aux)
+    wpc = [0] + [id_weight(u, aux) for u in graph.program.instructions]
     w = [wpc[c % base] for c in graph.codes]
     offsets, targets = graph.offsets, graph.targets
     node = graph.decoder()
 
     anchors = [i for i, x in enumerate(w) if not x]
     if not anchors:
-        return MidResult(Finite(0), (), no_anchor=True)
+        return MidResult(0, (), no_anchor=True)
 
     n = len(w)
     done = n + 1  # `low` of a state whose SCC is finished
@@ -392,7 +369,7 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
         stem = _bfs_path(succ, anchors, c0.__eq__, w.__getitem__)
         exit_path = _bfs_path(succ, [c0], lambda t: not w[t], lambda t: best_from[t] > 0)
         return MidResult(
-            Unbounded(),
+            None,
             decode(stem + cycle[1:] + [c0] + exit_path[1:]),
             stem=decode(stem),
             cycle=decode(cycle),
@@ -418,8 +395,8 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
             chain.append(best_next[chain[-1]])
         witness = decode(chain)
     if pumping:
-        return MidResult(Finite(mid), witness, open_tail_unbounded=True)
-    return MidResult(Finite(mid), witness, open_tail=open_tail)
+        return MidResult(mid, witness, open_tail_unbounded=True)
+    return MidResult(mid, witness, open_tail=open_tail)
 
 
 def program_mid(p: Program, params: ToolParams) -> MidResult:

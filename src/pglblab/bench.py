@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import astuple, dataclass, replace
 
-from .analyzer import Finite, StateLimitExceeded, build_state_graph, compute_mid, program_mid
+from .analyzer import StateLimitExceeded, build_state_graph, compute_mid, program_mid
 from .family import gen_scaling_family
 from .isa import ToolParams
 from .projector import OracleSuite, check_equivalence, dispatch_project, specialize, thread_jumps
@@ -51,24 +51,20 @@ class BenchRow:
 
 
 def _mid_value(result) -> int:
-    v = result.finite_value
-    return -1 if v is None else v
+    return -1 if result.value is None else result.value
 
 
-def _bench_one(k: int, base: ToolParams | None) -> BenchRow:
+def _bench_one(k: int, base: ToolParams) -> BenchRow:
     flag = 0
 
     t = time.perf_counter()
     p, fp = gen_scaling_family(k)
-    if base is None:
-        params = fp.tool_params()
-    else:
-        params = fp.tool_params(
-            aux=base.aux,
-            step_limit=base.step_limit,
-            state_limit=base.state_limit,
-            cell_init=base.cell_init,
-        )
+    params = fp.tool_params(
+        aux=base.aux,
+        step_limit=base.step_limit,
+        state_limit=base.state_limit,
+        cell_init=base.cell_init,
+    )
     gen_ms = (time.perf_counter() - t) * 1000.0
     if len(p) != 12 * 2**k + 4:
         flag = 1
@@ -79,7 +75,7 @@ def _bench_one(k: int, base: ToolParams | None) -> BenchRow:
         mid = compute_mid(graph, params.aux)
         mid_ms = (time.perf_counter() - t) * 1000.0
         state_nodes = graph.node_count
-        if mid.value != Finite(4):
+        if mid.value != 4:
             flag = 1
 
         t = time.perf_counter()
@@ -127,12 +123,12 @@ def _bench_one(k: int, base: ToolParams | None) -> BenchRow:
     )
 
 
-def bench_family(kmax: int, params: ToolParams | None = None) -> list[BenchRow]:
+def bench_family(kmax: int, params: ToolParams = ToolParams()) -> list[BenchRow]:
     """Rows for k=1..kmax (kmax ≤ 8: desk scale).
 
-    `params`, when given, supplies aux/stepLimit/stateLimit/cellInit; maxr
-    and maxn always come from the family itself.  Rows are computed
-    sequentially, in k order.
+    `params` supplies aux/stepLimit/stateLimit/cellInit; maxr and maxn
+    always come from the family itself.  Rows are computed sequentially,
+    in k order.
     """
     if not 1 <= kmax <= 8:
         raise ValueError("kmax must be in 1..8")

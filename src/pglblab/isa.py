@@ -313,6 +313,9 @@ class AuxSpec:
 #: Largest step limit: a run keeps every step's event in memory.
 MAX_STEP_LIMIT = 1_000_000
 
+#: Largest maxr: every machine state holds maxr registers.
+MAX_REGISTERS = 1_000
+
 
 @dataclass(frozen=True)
 class ToolParams:
@@ -322,8 +325,9 @@ class ToolParams:
     range is a machine parameter, not a program property.  `aux` marks basic
     instructions whose occurrences count as internal delay.  `cell_foci`
     fixes which foci are bound to Boolean-cell services; None means the
-    default binding of every focus matching bool<digits>.  `step_limit` is
-    at most MAX_STEP_LIMIT, which is also its default.
+    default binding of every focus matching bool<digits>.  `maxr` is at
+    most MAX_REGISTERS; `step_limit` is at most MAX_STEP_LIMIT, which is
+    also its default.
     """
 
     maxr: int = 2
@@ -337,6 +341,8 @@ class ToolParams:
     def __post_init__(self) -> None:
         if self.maxr < 1 or self.maxn < 1:
             raise ValueError("maxr and maxn must be >= 1")
+        if self.maxr > MAX_REGISTERS:
+            raise ValueError(f"maxr {self.maxr} exceeds {MAX_REGISTERS}")
         if self.step_limit > MAX_STEP_LIMIT:
             raise ValueError(f"step limit {self.step_limit} exceeds {MAX_STEP_LIMIT}")
 

@@ -359,17 +359,17 @@ def thread_jumps(p: Program) -> Program:
     return Program(tuple(out))
 
 
+#: Step budget of each checked run, further capped by the params limit.
+#: Runs cut by it are inconclusive, never counterexamples.
+CHECK_STEP_LIMIT = 4096
+
+
 @dataclass(frozen=True)
 class OracleSuite:
-    """Exhaustive reply prefixes up to a branch depth, then seeded streams.
-
-    `step_limit` bounds each checked run (further capped by the params
-    limit); runs cut by it are inconclusive, never counterexamples.
-    """
+    """Exhaustive reply prefixes up to a branch depth, then seeded streams."""
 
     exhaustive_depth: int = 10
     seeds: tuple[int, ...] = (101, 102, 103, 104, 105)
-    step_limit: int = 4096
 
 
 @dataclass(frozen=True)
@@ -389,33 +389,47 @@ class Verdict:
     inconclusive: int
 
 
-def _reply_prefixes(
-    p: Program, params: ToolParams, depth: int, step_limit: int
-) -> set[tuple[bool, ...]]:
-    """All oracle-reply prefixes of runs of p, branching up to `depth`.
+def _oracle_runs(p: Program, q: Program, params: ToolParams, suite: OracleSuite):
+    """(oracle label, p run, q run) for each oracle of the suite, in check
+    order.  A run is (observable events, final status), the status None
+    when the run waits for a reply its oracle does not have.
 
-    Each run segment goes through `execute` to the next test that needs a
-    reply, where the prefix branches on both replies.
+    The exhaustive oracles come from one depth-first walk over the joint
+    reply tree of p and q, False before True, so in sorted order of their
+    reply sequences.  At each node a side that waits for a reply runs on
+    with the node's reply from where it stopped; a side that stopped above
+    is carried along.  A node is an oracle where a side that reached it
+    stops, and at the exhaustive depth.
     """
-    seqs: set[tuple[bool, ...]] = set()
-    stack = [(initial_config(p, params, Scripted(())), 0, ())]
+    aux = params.aux
+    budget = min(params.step_limit, CHECK_STEP_LIMIT)
+    # A side is (observable events, final status, end configuration, steps).
+    start = [((), None, initial_config(x, params, Scripted(())), 0) for x in (p, q)]
+    stack = [((), start)]
     while stack:
-        cfg, steps, sigma = stack.pop()
-        events, final, end = execute(p, cfg, step_limit - steps)
-        if final is not None or len(sigma) >= depth:
-            seqs.add(sigma)
-            continue
-        steps += len(events)
-        for r in (False, True):
-            branch = MachineConfig(end.pc, end.registers, end.cells, Scripted((r,)))
-            stack.append((branch, steps, sigma + (r,)))
-    return seqs
-
-
-def _run_bounded(p: Program, params: ToolParams, oracle, step_limit: int):
-    """Run to completion, step limit, or oracle exhaustion (final=None)."""
-    events, final, _ = execute(p, initial_config(p, params, oracle), step_limit)
-    return tuple(events), final
+        sigma, sides = stack.pop()
+        now = []
+        stopped = False
+        for x, (obs, final, end, steps) in zip((p, q), sides):
+            if final is None:
+                cfg = MachineConfig(end.pc, end.registers, end.cells, Scripted(sigma[-1:]))
+                events, final, end = execute(x, cfg, budget - steps)
+                obs += observable_events(events, aux)
+                steps += len(events)
+                stopped = stopped or final is not None
+            now.append((obs, final, end, steps))
+        deep = len(sigma) >= suite.exhaustive_depth
+        if stopped or deep:
+            yield "exhaustive:" + "".join("T" if r else "F" for r in sigma), now[0][:2], now[1][:2]
+        if not deep and (now[0][1] is None or now[1][1] is None):
+            stack.append((sigma + (True,), now))
+            stack.append((sigma + (False,), now))
+    for seed in suite.seeds:
+        runs = []
+        for x in (p, q):
+            events, final, _ = execute(x, initial_config(x, params, Seeded(seed)), budget)
+            runs.append((observable_events(events, aux), final))
+        yield f"seeded:{seed}", runs[0], runs[1]
 
 
 def check_equivalence(
@@ -423,55 +437,24 @@ def check_equivalence(
 ) -> Verdict:
     """Compare observable traces of p and q over the oracle suite.
 
-    Runs cut by the step limit or by reply-prefix exhaustion are
-    inconclusive: their common observable prefix must still agree, but no
-    verdict is drawn from the cut itself.  The first disagreement under the
-    fixed oracle ordering is reported.
+    Runs cut by the step limit or waiting for a reply are inconclusive:
+    their common observable prefix must still agree, but no verdict is
+    drawn from the cut itself.  The first disagreement is reported.
     """
     require_valid(p, params)
     require_valid(q, params)
-    aux = params.aux
-    budget = min(params.step_limit, suite.step_limit)
-    checked = 0
-    inconclusive = 0
-
-    def compare(label, p_run, q_run):
-        nonlocal checked, inconclusive
-        (p_ev, p_final), (q_ev, q_final) = p_run, q_run
-        po = observable_events(p_ev, aux)
-        qo = observable_events(q_ev, aux)
+    stops = (Status.TERMINATED, Status.DEADLOCKED)
+    checked = inconclusive = 0
+    for label, (po, p_final), (qo, q_final) in _oracle_runs(p, q, params, suite):
         checked += 1
-        conclusive = p_final in (Status.TERMINATED, Status.DEADLOCKED) and q_final in (
-            Status.TERMINATED,
-            Status.DEADLOCKED,
-        )
-        if conclusive:
+        if p_final in stops and q_final in stops:
             if po == qo and p_final == q_final:
-                return None
-            return Counterexample(label, po, qo, p_final, q_final)
-        inconclusive += 1
-        m = min(len(po), len(qo))
-        if po[:m] != qo[:m]:
-            return Counterexample(label, po, qo, p_final, q_final)
-        return None
-
-    prefixes = _reply_prefixes(p, params, suite.exhaustive_depth, budget)
-    prefixes |= _reply_prefixes(q, params, suite.exhaustive_depth, budget)
-    for sigma in sorted(prefixes):
-        label = "exhaustive:" + "".join("T" if r else "F" for r in sigma)
-        cex = compare(
-            label,
-            _run_bounded(p, params, Scripted(sigma), budget),
-            _run_bounded(q, params, Scripted(sigma), budget),
-        )
-        if cex:
-            return Verdict(False, cex, checked, inconclusive)
-    for seed in suite.seeds:
-        cex = compare(
-            f"seeded:{seed}",
-            _run_bounded(p, params, Seeded(seed), budget),
-            _run_bounded(q, params, Seeded(seed), budget),
-        )
-        if cex:
-            return Verdict(False, cex, checked, inconclusive)
+                continue
+        else:
+            inconclusive += 1
+            m = min(len(po), len(qo))
+            if po[:m] == qo[:m]:
+                continue
+        cex = Counterexample(label, po, qo, p_final, q_final)
+        return Verdict(False, cex, checked, inconclusive)
     return Verdict(True, None, checked, inconclusive)

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pglblab.analyzer import (
-    Finite,
     StateLimitExceeded,
     StateNode,
-    Unbounded,
     brute_force_mid,
     build_state_graph,
     compute_mid,
@@ -106,13 +104,13 @@ def test_state_graph_rejects_invalid_program():
 
 
 def test_mid_of_plain_sequence_is_zero():
-    assert mid_of("f.m ; g.n ; !", ToolParams()).value == Finite(0)
+    assert mid_of("f.m ; g.n ; !", ToolParams()).value == 0
 
 
 def test_mid_counts_weights_between_observable_steps():
     # f.m (anchor) ; set 1 ; i# 2 ; f.m (anchor): interior weight 3.
     result = mid_of("f.m ; set:1:1 ; i#1 ; f.m ; !", ToolParams(maxr=1, maxn=1))
-    assert result.value == Finite(3)
+    assert result.value == 3
     assert [n.pc for n in result.witness] == [1, 2, 3, 4]
 
 
@@ -126,7 +124,7 @@ def test_mid_witness_replays_through_the_interpreter():
 def test_mid_takes_the_heavier_test_branch():
     # True branch pays one jump to the halt, False branch two to g.n.
     result = mid_of("+f.m ; #4 ; #1 ; #1 ; g.n ; !", ToolParams())
-    assert result.value == Finite(2)
+    assert result.value == 2
 
 
 def test_mid_ignores_unreachable_weight():
@@ -135,20 +133,20 @@ def test_mid_ignores_unreachable_weight():
         "f.m ; set:1:1 ; i#1 ; f.m ; ! ; set:1:7 ; i\\#1 ; #2",
         ToolParams(maxr=1, maxn=7),
     )
-    assert base.value == padded.value == Finite(3)
+    assert base.value == padded.value == 3
 
 
 def test_mid_zero_when_no_anchor_reachable():
     result = mid_of("#1 ; \\#1", ToolParams())
-    assert result.value == Finite(0)
+    assert result.value == 0
     assert result.no_anchor
 
 
 def test_aux_marking_turns_anchors_into_delay():
     plain = mid_of("f.m ; x.m ; f.m ; !", ToolParams())
-    assert plain.value == Finite(0)
+    assert plain.value == 0
     marked = mid_of("f.m ; x.m ; f.m ; !", ToolParams(), aux=X_AUX)
-    assert marked.value == Finite(1)
+    assert marked.value == 1
 
 
 # --- unbounded MID ---
@@ -160,7 +158,7 @@ def test_unbounded_aux_loop():
     p = parse_program("f.m ; +x.get ; \\#1 ; !")
     params = ToolParams()
     result = compute_mid(build_state_graph(p, params), X_AUX)
-    assert result.value == Unbounded()
+    assert result.value is None
     assert result.stem and result.cycle and result.exit_path
     assert {n.pc for n in result.cycle} == {2, 3}
 
@@ -185,13 +183,13 @@ def test_positive_cycle_needs_anchors_on_both_sides():
     # The loop pumps weight but can never close at an anchor afterwards:
     # not unbounded MID, but an unbounded open tail.
     result = mid_of("f.m ; #2 ; ! ; \\#2", ToolParams())
-    assert result.value == Finite(0)
+    assert result.value == 0
     assert result.open_tail_unbounded
 
 
 def test_open_tail_without_cycle_is_measured():
     result = mid_of("f.m ; #0", ToolParams())
-    assert result.value == Finite(0)
+    assert result.value == 0
     assert result.open_tail == 1
     assert not result.open_tail_unbounded
 
@@ -216,7 +214,7 @@ def test_brute_force_matches_analysis_on_acyclic_random_programs(is_acyclic):
         if not is_acyclic(g):
             continue
         checked += 1
-        expected = compute_mid(g, params.aux).finite_value
+        expected = compute_mid(g, params.aux).value
         assert brute_force_mid(p, params, g.node_count + 1) == expected, (seed, str(p))
 
 
@@ -226,7 +224,7 @@ def test_brute_force_is_a_lower_bound_in_general():
         p = gen_random(5000 + seed, 3 + seed % 11, params)
         g = build_state_graph(p, params)
         result = compute_mid(g, params.aux)
-        value = result.finite_value
+        value = result.value
         brute = brute_force_mid(p, params, 40)
         if value is not None:
             assert brute <= value, (seed, str(p))
@@ -247,8 +245,8 @@ def test_enlarging_aux_only_lowers_mid_by_consuming_anchors(seed, length):
     def anchor_pcs(aux):
         return {pc for pc in g.pcs() if id_weight(p.at(pc), aux) == 0}
 
-    before = compute_mid(g, small).finite_value
-    after = compute_mid(g, big).finite_value
+    before = compute_mid(g, small).value
+    after = compute_mid(g, big).value
     if anchor_pcs(small) == anchor_pcs(big):
         # Weights only grow, so with identical segment boundaries the
         # maximum cannot drop (and unbounded stays unbounded).

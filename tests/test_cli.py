@@ -293,6 +293,61 @@ def test_config_step_limit_above_cap_is_refused(tmp_path, capsys):
     assert stderr == "pglblab: step limit 100000000000 exceeds 1000000\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mid"],
+        ["run"],
+        ["check", "{p}"],
+        ["project", "--mode", "specialize", "--out-dir", "{dir}"],
+        ["project", "--mode", "dispatch", "--out-dir", "{dir}"],
+    ],
+    ids=lambda command: "-".join(command[:3:2]),
+)
+def test_maxr_derived_above_cap_is_refused(tmp_path, capsys, command):
+    prog = tmp_path / "p.pglb"
+    prog.write_text("set:1000000:1 ; !\n")
+    argv = [arg.format(p=prog, dir=tmp_path) for arg in [command[0], str(prog), *command[1:]]]
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: maxr 1000000 exceeds 1000\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["p.pglb"]
+
+
+def test_maxr_flag_above_cap_is_refused(tmp_path, capsys):
+    code, stdout, stderr = invoke(capsys, "mid", str(_spin(tmp_path)), "--maxr", "1001")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: maxr 1001 exceeds 1000\n"
+
+
+def test_config_maxr_above_cap_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("maxr = 1000000\n")
+    code, stdout, stderr = invoke(capsys, "mid", str(_spin(tmp_path)), "--config", str(cfg))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: maxr 1000000 exceeds 1000\n"
+
+
+def test_gen_random_maxr_above_cap_is_refused(capsys):
+    code, stdout, stderr = invoke(
+        capsys, "gen", "random", "--seed", "1", "--len", "5", "--maxr", "1000000"
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "pglblab: maxr 1000000 exceeds 1000\n"
+
+
+def test_maxr_at_cap_is_accepted(tmp_path, capsys):
+    prog = tmp_path / "p.pglb"
+    prog.write_text("f.m ; set:1000:1 ; g.n ; !\n")
+    code, stdout, _ = invoke(capsys, "mid", str(prog))
+    assert code == 0
+    assert stdout.startswith("MID = 1\n")
+
+
 def test_run_steps_at_cap_runs(tmp_path, capsys):
     prog = tmp_path / "p.pglb"
     prog.write_text("f.m ; !\n")

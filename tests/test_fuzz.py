@@ -81,6 +81,7 @@ def refusal(text, *argv):
 @settings(max_examples=200, deadline=None)
 @given(command_lines())
 @refusal("f.m ;; !", "mid")
+@refusal("set:1000000:1 ; !", "mid")
 @refusal("set:2:1 ; !", "run", "--maxr", "1")
 @refusal("set:2:1 ; !", "check", "{dir}/q.pglb", "--maxr", "1", "--depth", "2")
 @refusal("+f.m ; !", "run", "--steps", "10")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pglblab.analyzer import StateNode, Unbounded, build_state_graph, compute_mid, program_mid
+from pglblab.analyzer import StateNode, build_state_graph, compute_mid, program_mid
 from pglblab.family import gen_random
 from pglblab.isa import (
     AuxSpec,
@@ -9,6 +9,7 @@ from pglblab.isa import (
     FwdJump,
     NegTest,
     PosTest,
+    Program,
     ToolParams,
     is_pglb,
     parse_program,
@@ -16,13 +17,26 @@ from pglblab.isa import (
 )
 import pglblab.projector as projector
 from pglblab.projector import (
+    CHECK_STEP_LIMIT,
+    Counterexample,
     OracleSuite,
+    Verdict,
     check_equivalence,
     dispatch_project,
     specialize,
     thread_jumps,
 )
-from pglblab.vm import MachineConfig, OracleExhausted, Scripted, Status, initial_config, step
+from pglblab.vm import (
+    MachineConfig,
+    OracleExhausted,
+    Scripted,
+    Seeded,
+    Status,
+    execute,
+    initial_config,
+    observable_events,
+    step,
+)
 
 P11 = ToolParams(maxr=1, maxn=1)
 P12 = ToolParams(maxr=1, maxn=2)
@@ -128,8 +142,8 @@ def test_specialize_keeps_mid_flat_without_aux():
         p = gen_random(seed, 3 + seed % 10, P23)
         graph = build_state_graph(p, P23)
         report = specialize(graph)
-        before = compute_mid(graph, P23.aux).finite_value
-        after = program_mid(report.output, P23).finite_value
+        before = compute_mid(graph, P23.aux).value
+        after = program_mid(report.output, P23).value
         if before is None:
             assert after is None, (seed, str(p))
         else:
@@ -238,7 +252,7 @@ def test_dispatch_mid_grows_with_bit_width():
     for maxn in (1, 3, 7, 15):
         params = ToolParams(maxr=1, maxn=maxn)
         report = dispatch_project(p, params)
-        mids.append(program_mid(report.output, report.output_params(params)).finite_value)
+        mids.append(program_mid(report.output, report.output_params(params)).value)
     assert mids == sorted(mids)
     assert mids[-1] > mids[0]
 
@@ -412,7 +426,7 @@ def test_projections_do_no_analysis(monkeypatch):
     assert is_pglb(dispatch_project(p, P12).output)
 
 
-# --- check_equivalence on the interpreter kernel vs a vm.step reference ---
+# --- check_equivalence against a whole-check vm.step reference ---
 
 
 def step_reply_prefixes(p, params, depth, step_limit):
@@ -452,6 +466,37 @@ def step_run_bounded(p, params, oracle, step_limit):
     return tuple(events), Status.STEP_LIMIT
 
 
+def reference_check(p, q, params, suite):
+    """Reference check: list both programs' reply prefixes, then run both
+    from the start on every prefix of the union in sorted order, then on
+    every seed, and report the first disagreement."""
+    budget = min(params.step_limit, CHECK_STEP_LIMIT)
+    stops = (Status.TERMINATED, Status.DEADLOCKED)
+    prefixes = step_reply_prefixes(p, params, suite.exhaustive_depth, budget)
+    prefixes |= step_reply_prefixes(q, params, suite.exhaustive_depth, budget)
+    oracles = [("exhaustive:" + "".join("T" if r else "F" for r in sigma), Scripted(sigma))
+               for sigma in sorted(prefixes)]
+    oracles += [(f"seeded:{seed}", Seeded(seed)) for seed in suite.seeds]
+    checked = inconclusive = 0
+    for label, oracle in oracles:
+        (p_ev, p_final), (q_ev, q_final) = (
+            step_run_bounded(x, params, oracle, budget) for x in (p, q)
+        )
+        po = observable_events(p_ev, params.aux)
+        qo = observable_events(q_ev, params.aux)
+        checked += 1
+        if p_final in stops and q_final in stops:
+            agree = po == qo and p_final == q_final
+        else:
+            inconclusive += 1
+            m = min(len(po), len(qo))
+            agree = po[:m] == qo[:m]
+        if not agree:
+            cex = Counterexample(label, po, qo, p_final, q_final)
+            return Verdict(False, cex, checked, inconclusive)
+    return Verdict(True, None, checked, inconclusive)
+
+
 def _check_cases():
     params = ToolParams(maxr=1, maxn=2, step_limit=200)
     p = parse_program("+f.m ; set:1:2 ; i#1 ; g.n ; +h.m ; ! ; #0")
@@ -467,22 +512,45 @@ def _check_cases():
 
 
 @pytest.mark.parametrize("case", list(_check_cases()), ids=lambda case: case[0])
-def test_check_equivalence_matches_a_step_by_step_reference(case, monkeypatch):
+def test_check_equivalence_matches_a_step_by_step_reference(case):
     _, p, q, params, expected = case
     suite = OracleSuite(exhaustive_depth=6)
     verdict = check_equivalence(p, q, params, suite)
     label = verdict.counterexample.oracle if verdict.counterexample else None
     assert (verdict.equivalent, label, verdict.checked, verdict.inconclusive) == expected
-    monkeypatch.setattr(projector, "_reply_prefixes", step_reply_prefixes)
-    monkeypatch.setattr(projector, "_run_bounded", step_run_bounded)
-    assert check_equivalence(p, q, params, suite) == verdict
+    assert reference_check(p, q, params, suite) == verdict
 
 
-def test_reply_prefixes_match_the_step_reference_on_random_programs():
+def test_check_equivalence_matches_the_reference_on_random_programs():
     params = ToolParams(maxr=2, maxn=3, step_limit=100)
     for seed in range(120):
         p = gen_random(9000 + seed, 4 + seed % 9, params)
-        for depth in (0, 3, 6):
-            assert projector._reply_prefixes(p, params, depth, 100) == step_reply_prefixes(
-                p, params, depth, 100
-            ), (seed, depth, str(p))
+        i = seed % len(p)
+        mutant = Program(
+            p.instructions[:i] + gen_random(seed, 1, params).instructions + p.instructions[i + 1:]
+        )
+        report = dispatch_project(p, params)
+        partners = ((p, params), (mutant, params), (report.output, report.output_params(params)))
+        for q, q_params in partners:
+            for depth in (0, 3, 6):
+                suite = OracleSuite(exhaustive_depth=depth)
+                assert check_equivalence(p, q, q_params, suite) == reference_check(
+                    p, q, q_params, suite
+                ), (seed, depth, str(p), str(q))
+
+
+def test_check_equivalence_runs_each_waiting_side_once_per_node(monkeypatch):
+    # The joint reply tree of p with itself has 5 nodes (root, F, T, TF,
+    # TT), two execute calls each, plus two per seed: 20.  Listing each
+    # side's prefixes and re-running both on the 3 compared ones took 26.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return execute(*args)
+
+    monkeypatch.setattr(projector, "execute", counted)
+    p = parse_program("+f.m ; +g.n ; !")
+    verdict = check_equivalence(p, p, ToolParams(), OracleSuite())
+    assert (verdict.equivalent, verdict.checked, verdict.inconclusive) == (True, 8, 0)
+    assert len(calls) == 5 * 2 + 5 * 2
