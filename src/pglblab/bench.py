@@ -1,7 +1,7 @@
 """Scaling benchmark over the selection family.
 
-One row per k: generate, measure MID, run both projections (threading the
-specialized output), re-verify equivalence on a seeded oracle set, and
+One row per k: generate, measure MID, run both projections (specialize
+emits its output threaded), re-verify equivalence on a seeded oracle set, and
 record lengths, delays, state-graph size, and per-phase wall time.  Each
 program is analysed once: the member, the threaded specialize output and
 the dispatch output.  Rows run one after another, so no row's timings
@@ -10,13 +10,15 @@ columns.
 """
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import astuple, dataclass, replace
 
 from .analyzer import StateLimitExceeded, build_state_graph, compute_mid, program_mid
 from .family import gen_scaling_family
 from .isa import ToolParams
-from .projector import OracleSuite, check_equivalence, dispatch_project, specialize, thread_jumps
+from .projector import OracleSuite, check_equivalence, dispatch_project, specialize
 
 CHECK_SEEDS = (11, 23, 47, 89, 131)
 
@@ -26,6 +28,11 @@ CSV_HEADER = (
     "lengthDispatch,midDispatch,stateNodes,genMillis,midMillis,"
     "specializeMillis,dispatchMillis,checkMillis,flag"
 )
+_CSV_COLUMNS = CSV_HEADER.split(",")
+#: The CSV columns, then the two parts of specializeMillis, which only
+#: `to_json` reports: emitting both programs, then the MID of the
+#: threaded one.
+_JSON_COLUMNS = _CSV_COLUMNS + ["specializeEmitMillis", "specializeAnalysisMillis"]
 
 
 @dataclass(frozen=True)
@@ -44,10 +51,16 @@ class BenchRow:
     dispatch_millis: float
     check_millis: float
     flag: int
+    specialize_emit_millis: float = 0.0
+    specialize_analysis_millis: float = 0.0
+
+    def values(self) -> tuple:
+        """The fields in _JSON_COLUMNS order, times rounded to 3 decimals."""
+        return tuple(round(v, 3) if isinstance(v, float) else v for v in astuple(self))
 
     def csv_line(self) -> str:
-        """The fields in CSV_HEADER order, times rounded to 3 decimals."""
-        return ",".join(str(round(v, 3) if isinstance(v, float) else v) for v in astuple(self))
+        """The fields in CSV_HEADER order."""
+        return ",".join(map(str, self.values()[: len(_CSV_COLUMNS)]))
 
 
 def _mid_value(result) -> int:
@@ -78,11 +91,23 @@ def _bench_one(k: int, base: ToolParams) -> BenchRow:
         if mid.value != 4:
             flag = 1
 
+        # The checks route the test focus to the oracle on all sides, so
+        # the seeded streams drive every selection path; dispatch's own
+        # cells stay bound via its report.
+        free = replace(params, cell_foci=frozenset())
+
         t = time.perf_counter()
-        spec = specialize(graph)
-        threaded = thread_jumps(spec.output)
-        mid_spec = program_mid(threaded, spec.output_params(params))
-        spec_ms = (time.perf_counter() - t) * 1000.0
+        spec = specialize(graph, thread=True)
+        emit_ms = (time.perf_counter() - t) * 1000.0
+        # Keep only the threaded program and its params: the graph, the
+        # plain output and the relocation map go before the output's
+        # graph is built.
+        threaded = spec.threaded
+        spec_params, spec_check_params = spec.output_params(params), spec.output_params(free)
+        del graph, spec
+        t = time.perf_counter()
+        mid_spec = program_mid(threaded, spec_params)
+        analysis_ms = (time.perf_counter() - t) * 1000.0
 
         t = time.perf_counter()
         disp = dispatch_project(p, params)
@@ -90,13 +115,10 @@ def _bench_one(k: int, base: ToolParams) -> BenchRow:
         disp_ms = (time.perf_counter() - t) * 1000.0
 
         t = time.perf_counter()
-        # Route the test focus to the oracle on all sides so the seeded
-        # streams drive every selection path; dispatch's own cells stay
-        # bound via its report.
-        free = replace(params, cell_foci=frozenset())
         suite = OracleSuite(exhaustive_depth=0, seeds=CHECK_SEEDS)
-        for report, output in ((spec, threaded), (disp, disp.output)):
-            verdict = check_equivalence(p, output, report.output_params(free), suite)
+        checks = ((threaded, spec_check_params), (disp.output, disp.output_params(free)))
+        for output, check_params in checks:
+            verdict = check_equivalence(p, output, check_params, suite)
             if not verdict.equivalent:
                 flag = 1
         check_ms = (time.perf_counter() - t) * 1000.0
@@ -116,10 +138,12 @@ def _bench_one(k: int, base: ToolParams) -> BenchRow:
         state_nodes=state_nodes,
         gen_millis=gen_ms,
         mid_millis=mid_ms,
-        specialize_millis=spec_ms,
+        specialize_millis=emit_ms + analysis_ms,
         dispatch_millis=disp_ms,
         check_millis=check_ms,
         flag=flag,
+        specialize_emit_millis=emit_ms,
+        specialize_analysis_millis=analysis_ms,
     )
 
 
@@ -139,11 +163,31 @@ def to_csv(rows: list[BenchRow]) -> str:
     return "\n".join([CSV_HEADER] + [row.csv_line() for row in rows]) + "\n"
 
 
+def to_json(rows: list[BenchRow]) -> str:
+    """One JSON object: Python version, CPU count, kmax, this process's
+    peak RSS so far, and one object per row holding the CSV fields plus
+    `specializeEmitMillis` and `specializeAnalysisMillis`."""
+    # Only --json needs these; resource exists on Unix only.
+    import json
+    import resource
+
+    # ru_maxrss counts KiB, except on macOS, where it counts bytes.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_kib = peak // 1024 if sys.platform == "darwin" else peak
+    report = {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "cpuCount": os.cpu_count(),
+        "kmax": len(rows),
+        "peakRssMiB": round(peak_kib / 1024, 1),
+        "rows": [dict(zip(_JSON_COLUMNS, row.values())) for row in rows],
+    }
+    return json.dumps(report, indent=2) + "\n"
+
+
 def to_markdown(rows: list[BenchRow]) -> str:
-    columns = CSV_HEADER.split(",")
     lines = [
-        "| " + " | ".join(columns) + " |",
-        "|" + "|".join(" --- " for _ in columns) + "|",
+        "| " + " | ".join(_CSV_COLUMNS) + " |",
+        "|" + "|".join(" --- " for _ in _CSV_COLUMNS) + "|",
     ]
     for row in rows:
         lines.append("| " + " | ".join(row.csv_line().split(",")) + " |")

@@ -25,7 +25,7 @@ from .analyzer import (
     id_weight,
     program_mid,
 )
-from .bench import bench_family, to_csv, to_markdown
+from .bench import bench_family, to_csv, to_json, to_markdown
 from .family import gen_scaling_family, gen_random
 from .isa import (
     AuxSpec,
@@ -224,7 +224,7 @@ def _cmd_project(args) -> int:
     params = resolve_params(args, programs=(p,), sidecars=(sidecar,))
     if args.mode == "specialize":
         graph = build_state_graph(p, params)
-        report = specialize(graph)
+        report = specialize(graph, thread=args.thread)
         mid_before = compute_mid(graph, params.aux)
         del graph  # free it before the output graphs are built
     else:
@@ -243,7 +243,7 @@ def _cmd_project(args) -> int:
         mid_after = program_mid(output, out_params)
     summary = report.summary(mid_before, mid_after)
     if args.thread:
-        threaded = thread_jumps(output)
+        threaded = thread_jumps(output) if report.threaded is None else report.threaded
         mid_threaded = mid_after if threaded == output else program_mid(threaded, out_params)
         output = threaded
         summary += f"threaded=1\nmidAfterThreaded={mid_threaded.text}\n"
@@ -292,16 +292,16 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     params = resolve_params(args)
     rows = bench_family(args.kmax, params)
-    csv_text = to_csv(rows)
+    text = to_json(rows) if args.json else to_csv(rows)
     if args.out:
-        Path(args.out).write_text(csv_text)
+        Path(args.out).write_text(text)
         print(f"wrote {args.out}")
         if args.md:
             md_path = Path(args.out).with_suffix(".md")
             md_path.write_text(to_markdown(rows))
             print(f"wrote {md_path}")
     else:
-        sys.stdout.write(to_markdown(rows) if args.md else csv_text)
+        sys.stdout.write(to_markdown(rows) if args.md else text)
     return 1 if any(row.flag for row in rows) else 0
 
 
@@ -339,15 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_param_flags(sp):
-        sp.add_argument("--maxr", type=int, help="largest register index")
-        sp.add_argument("--maxn", type=int, help="largest register literal")
+    def add_run_flags(sp):
         sp.add_argument("--aux", help="aux patterns, comma separated (f.m or f.*)")
-        sp.add_argument("--cells", help="cell-bound foci, comma separated ('' = none)")
         sp.add_argument("--cell-init", choices=("true", "false"), help="initial cell contents")
         sp.add_argument("--step-limit", type=int)
         sp.add_argument("--state-limit", type=int)
         sp.add_argument("--config", help="config file (overrides PGLBLAB_CONFIG)")
+
+    def add_param_flags(sp):
+        sp.add_argument("--maxr", type=int, help="largest register index")
+        sp.add_argument("--maxn", type=int, help="largest register literal")
+        sp.add_argument("--cells", help="cell-bound foci, comma separated ('' = none)")
+        add_run_flags(sp)
 
     sp = sub.add_parser("run", help="execute a program and print its trace")
     sp.add_argument("file")
@@ -383,11 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
     rnd.add_argument("--out", help="output file (default stdout)")
     rnd.set_defaults(handler=_cmd_gen)
 
-    sp = sub.add_parser("bench", help="scaling benchmark over the family")
+    sp = sub.add_parser(
+        "bench", help="scaling benchmark over the family",
+        description="Scaling benchmark over the family members k=1..kmax.  Each member "
+        "fixes its own maxr, maxn and cell bindings, so config-file maxr, maxn and "
+        "cells are ignored here.",
+    )
     sp.add_argument("--kmax", type=int, required=True)
-    sp.add_argument("--out", help="CSV output file (default stdout)")
-    sp.add_argument("--md", action="store_true", help="markdown table mirror")
-    add_param_flags(sp)
+    sp.add_argument("--out", help="output file (default stdout)")
+    fmt = sp.add_mutually_exclusive_group()
+    fmt.add_argument("--md", action="store_true", help="markdown table mirror")
+    fmt.add_argument(
+        "--json", action="store_true",
+        help="one JSON object with the environment, peak RSS and the rows, in place of the CSV",
+    )
+    add_run_flags(sp)
     sp.set_defaults(handler=_cmd_bench)
 
     sp = sub.add_parser("check", help="observable-equivalence check of two programs")

@@ -195,8 +195,16 @@ class Program:
 
 
 def render_program(p: Program) -> str:
-    """Canonical text: instructions joined by ' ; ', no trailing separator."""
-    return " ; ".join(render_instruction(u) for u in p.instructions)
+    """Canonical text: instructions joined by ' ; ', no trailing separator.
+
+    Programs share instruction objects (the parser's, the projections'
+    jumps), so each distinct object is rendered once.  Keying by `id` is
+    sound while `p` holds every object.
+    """
+    ids = list(map(id, p.instructions))
+    distinct = dict(zip(ids, p.instructions))
+    text = dict(zip(distinct, map(render_instruction, distinct.values())))
+    return " ; ".join(map(text.__getitem__, ids))
 
 
 # One alternative per instruction form.  The forms are disjoint (only a

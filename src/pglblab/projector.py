@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import accumulate, islice
 from typing import Callable
 
 from .analyzer import MidResult, StateGraph
@@ -84,6 +85,8 @@ class ProjectionReport:
     output: Program
     relocation: RelocationMap
     aux_introduced: frozenset[BasicInstruction]
+    #: `thread_jumps(output)`, when the projection emitted it alongside.
+    threaded: Program | None = None
 
     @property
     def length_before(self) -> int:
@@ -119,10 +122,15 @@ class ProjectionReport:
         )
 
 
-def _jump(from_pos: int, to_pos: int) -> Instruction:
-    d = to_pos - from_pos
-    assert d != 0, "a block never jumps to itself"
-    return FwdJump(d) if d > 0 else BwdJump(-d)
+class _Jumps(dict):
+    """Signed distance d -> the one direct jump of that distance (`#d`,
+    or `\\#-d` for negative d), made on first use.  One lives for one
+    emission, so no call reuses another call's objects."""
+
+    def __missing__(self, d: int) -> Instruction:
+        assert d != 0, "a block never jumps to itself"
+        u = self[d] = FwdJump(d) if d > 0 else BwdJump(-d)
+        return u
 
 
 _DEADLOCK = FwdJump(0)
@@ -130,8 +138,43 @@ _DEADLOCK = FwdJump(0)
 #: Output block length per instruction kind in `specialize`; 1 otherwise.
 _BLOCK_SIZE = {Plain: 2, PosTest: 3, NegTest: 3}
 
+#: Instruction kinds whose `specialize` block is one jump: a jump state.
+_JUMP_KINDS = frozenset((FwdJump, BwdJump, RegSet, IndFwdJump, IndBwdJump))
 
-def specialize(graph: StateGraph) -> ProjectionReport:
+
+def _chain_ends(graph: StateGraph, pcs: list[int]) -> list[int]:
+    """For each state, the state where its chain of jump states ends.
+
+    A jump state with a successor passes its chain on to that successor;
+    any other state ends the chains that reach it.  -1 marks a chain that
+    enters a cycle of jump states.  Each state is resolved once: a walk
+    stops at the first state already resolved.
+    """
+    offsets, targets = graph.offsets, graph.targets
+    passes = [False] + [type(u) in _JUMP_KINDS for u in graph.program.instructions]
+    end = [None] * len(pcs)
+    for i in range(len(pcs)):
+        if end[i] is not None:
+            continue
+        path = []
+        j = i
+        while end[j] is None:
+            o = offsets[j]
+            if not passes[pcs[j]] or o == offsets[j + 1]:
+                end[j] = j
+                break
+            # Marked as cyclic while on the walk: meeting it again closes
+            # a cycle, and every state of the walk then enters it.
+            end[j] = -1
+            path.append(j)
+            j = targets[o]
+        e = end[j]
+        for s in path:
+            end[s] = e
+    return end
+
+
+def specialize(graph: StateGraph, thread: bool = False) -> ProjectionReport:
     """Unfold a reachable state graph into a register-free program.
 
     The source is `graph.program`.  Every reachable (position, registers)
@@ -139,61 +182,84 @@ def specialize(graph: StateGraph) -> ProjectionReport:
     successor jumps, register sets and resolved indirect jumps become
     single direct jumps, deadlocking outcomes become '#0'.  Only reachable
     states are emitted.
+
+    With `thread`, the same walk also emits the report's `threaded`
+    program, equal to `thread_jumps(output)`: each jump lands where the
+    chain of jump states behind its target ends, or on its own target
+    when that chain enters a cycle.
     """
     p = graph.program
     ins = p.instructions
     pcs = graph.pcs()
-    sizes = [_BLOCK_SIZE.get(type(ins[pc - 1]), 1) for pc in pcs]
-    starts = []
-    at = 1
-    for size in sizes:
-        starts.append(at)
-        at += size
-
-    def succ_jump(from_pos: int, target: int | None) -> Instruction:
-        if target is None:
-            return _DEADLOCK
-        return _jump(from_pos, starts[target])
-
+    offsets, targets = graph.offsets, graph.targets
+    block_size = [0] + [_BLOCK_SIZE.get(type(u), 1) for u in ins]
+    sizes = list(map(block_size.__getitem__, pcs))
+    starts = list(accumulate(sizes, initial=1))
+    if thread:
+        lands = [starts[t if e < 0 else e] for t, e in enumerate(_chain_ends(graph, pcs))]
+    jump = _Jumps()
+    dead = _DEADLOCK
     out: list[Instruction] = []
-    for i, pc in enumerate(pcs):
+    add = out.append
+    threaded: list[Instruction] = []
+    add_threaded = threaded.append
+    for pc, at, o, e in zip(pcs, starts, offsets, islice(offsets, 1, None)):
         u = ins[pc - 1]
-        base = starts[i]
-        succs = graph.successors(i)
         kind = type(u)
-        if kind is Halt:
-            out.append(u)
-        elif kind is Plain:
-            out.append(u)
-            out.append(succ_jump(base + 1, succs[0] if succs else None))
-        elif kind is PosTest or kind is NegTest:
-            # For either test sign, the copied test proceeds to base+1 on
-            # the reply that sends the source to pc+1, and skips to base+2
-            # on the other.  A test keeps the registers, so a successor's
-            # pc tells which branch it is.
-            proceed = skip = None
-            for t in succs:
-                if pcs[t] == pc + 1:
-                    proceed = t
-                else:
-                    skip = t
-            out.append(u)
-            out.append(succ_jump(base + 1, proceed))
-            out.append(succ_jump(base + 2, skip))
-        else:
+        # A block is a copied head, if any, then one jump per successor
+        # slot; a slot holds the successor state, or None when its outcome
+        # deadlocks.
+        if kind in _JUMP_KINDS:
             # Direct jumps keep their role; register sets and indirect
             # jumps resolve against the state and become direct jumps.
-            out.append(succ_jump(base, succs[0] if succs else None))
+            slots = (targets[o],) if o < e else (None,)
+        else:
+            add(u)
+            if thread:
+                add_threaded(u)
+            at += 1
+            if kind is Plain:
+                slots = (targets[o],) if o < e else (None,)
+            elif kind is Halt:
+                continue
+            elif e - o == 2:
+                # The graph lists on-true before on-false.  The copied test
+                # proceeds to the first slot on the reply that sends the
+                # source to pc+1 and skips to the second on the other.
+                first, second = targets[o], targets[o + 1]
+                slots = (first, second) if kind is PosTest else (second, first)
+            else:
+                # Only the pc+1 outcome, if any, stays in the program.
+                slots = (targets[o], None) if o < e else (None, None)
+        for t in slots:
+            if t is None:
+                add(dead)
+                if thread:
+                    add_threaded(dead)
+            else:
+                add(jump[starts[t] - at])
+                if thread:
+                    add_threaded(jump[lands[t] - at])
+            at += 1
 
-    output = Program(tuple(out))
     node = graph.decoder()
+    base = len(p) + 1
+    codes = graph.codes
+    suffixes: dict[int, str] = {}
 
     def state_key(i: int) -> str:
-        pc, registers = node(i)
-        return f"{pc}:" + "-".join(map(str, registers))
+        # States share register vectors: render each vector once.
+        regs_code, pc = divmod(codes[i], base)
+        suffix = suffixes.get(regs_code)
+        if suffix is None:
+            suffix = suffixes[regs_code] = "-".join(map(str, node(i).registers))
+        return f"{pc}:{suffix}"
 
-    relocation = RelocationMap(starts, sizes, state_key)
-    return ProjectionReport("specialize", p, output, relocation, frozenset())
+    relocation = RelocationMap(starts[:-1], sizes, state_key)
+    return ProjectionReport(
+        "specialize", p, Program(tuple(out)), relocation, frozenset(),
+        Program(tuple(threaded)) if thread else None,
+    )
 
 
 def _tree_size(levels: int) -> int:
@@ -252,6 +318,7 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
         )
 
     aux_used: set[BasicInstruction] = set()
+    jump = _Jumps()
 
     def cell(register: int, bit: int, method: str) -> BasicInstruction:
         b = BasicInstruction(f"{prefix}{register}b{bit}", method)
@@ -261,7 +328,7 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
     def retarget(from_pos: int, old_target: int) -> Instruction:
         if old_target < 1 or old_target > length:
             return _DEADLOCK
-        return _jump(from_pos, starts[old_target])
+        return jump[starts[old_target] - from_pos]
 
     out: list[Instruction] = []
 
@@ -281,7 +348,7 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
             zero_size = _tree_size(levels - 1)
             one_start = pos_out + 2 + zero_size
             out.append(PosTest(cell(register, levels - 1, "get")))
-            out.append(_jump(pos_out + 1, one_start))
+            out.append(jump[one_start - pos_out - 1])
             end = rec(value_prefix << 1, levels - 1, pos_out + 2)
             assert end == one_start
             return rec((value_prefix << 1) | 1, levels - 1, one_start)
@@ -330,6 +397,7 @@ def thread_jumps(p: Program) -> Program:
     src = p.instructions
     length = len(src)
     out = list(src)
+    jump = _Jumps()
     for pos in range(1, length + 1):
         u = src[pos - 1]
         if not isinstance(u, (FwdJump, BwdJump)):
@@ -355,7 +423,7 @@ def thread_jumps(p: Program) -> Program:
             cur = nxt
         if cyclic or cur == target:
             continue
-        out[pos - 1] = _jump(pos, cur)
+        out[pos - 1] = jump[cur - pos]
     return Program(tuple(out))
 
 
@@ -400,9 +468,22 @@ def _oracle_runs(p: Program, q: Program, params: ToolParams, suite: OracleSuite)
     with the node's reply from where it stopped; a side that stopped above
     is carried along.  A node is an oracle where a side that reached it
     stops, and at the exhaustive depth.
+
+    A seeded run's first replies follow a path of that tree, so it resumes
+    from the deepest node of its path: a side that stopped at or above it
+    keeps its result, and a waiting side runs on with the seed's stream
+    from the node's depth, within the same step budget.
     """
     aux = params.aux
     budget = min(params.step_limit, CHECK_STEP_LIMIT)
+    depth = suite.exhaustive_depth
+    seeded = [Seeded(seed) for seed in suite.seeds]
+    for oracle in seeded:
+        oracle.supply(depth)
+    # The nodes on the seeds' paths, and each side's state where the walk
+    # met them.
+    on_paths = {tuple(o.replies[:d]) for o in seeded for d in range(depth + 1)}
+    kept = {}
     # A side is (observable events, final status, end configuration, steps).
     start = [((), None, initial_config(x, params, Scripted(())), 0) for x in (p, q)]
     stack = [((), start)]
@@ -418,18 +499,27 @@ def _oracle_runs(p: Program, q: Program, params: ToolParams, suite: OracleSuite)
                 steps += len(events)
                 stopped = stopped or final is not None
             now.append((obs, final, end, steps))
-        deep = len(sigma) >= suite.exhaustive_depth
+        if sigma in on_paths:
+            kept[sigma] = now
+        deep = len(sigma) >= depth
         if stopped or deep:
             yield "exhaustive:" + "".join("T" if r else "F" for r in sigma), now[0][:2], now[1][:2]
         if not deep and (now[0][1] is None or now[1][1] is None):
             stack.append((sigma + (True,), now))
             stack.append((sigma + (False,), now))
-    for seed in suite.seeds:
+    for oracle in seeded:
+        path = tuple(oracle.replies[:depth])
+        d = 0
+        while d < depth and path[: d + 1] in kept:
+            d += 1
         runs = []
-        for x in (p, q):
-            events, final, _ = execute(x, initial_config(x, params, Seeded(seed)), budget)
-            runs.append((observable_events(events, aux), final))
-        yield f"seeded:{seed}", runs[0], runs[1]
+        for x, (obs, final, end, steps) in zip((p, q), kept[path[:d]]):
+            if final is None:
+                cfg = MachineConfig(end.pc, end.registers, end.cells, oracle.at(d))
+                events, final, _ = execute(x, cfg, budget - steps)
+                obs += observable_events(events, aux)
+            runs.append((obs, final))
+        yield f"seeded:{oracle.seed}", runs[0], runs[1]
 
 
 def check_equivalence(

@@ -14,6 +14,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 from .isa import (
@@ -104,7 +105,7 @@ class Seeded:
         rng, bits = self._shared
         while len(bits) < n:
             # Drawing ahead changes no reply: bit i is always the i-th draw.
-            bits.extend(bool(rng.getrandbits(1)) for _ in range(64))
+            bits.extend(map(bool, map(rng.getrandbits, repeat(1, 64))))
         return True
 
     def at(self, index: int) -> "Seeded":

@@ -204,6 +204,48 @@ def test_bench_kmax_one_stdout(capsys):
     assert len(lines) == 2 and lines[1].startswith("1,28,4,")
 
 
+@pytest.mark.parametrize("flag", ["--maxr", "--maxn", "--cells"])
+def test_bench_refuses_flags_the_family_fixes(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--kmax", "1", flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_bench_ignores_register_bounds_from_config(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("maxr = 1\nmaxn = 1\ncells = zz\n")
+    monkeypatch.setenv("PGLBLAB_CONFIG", str(cfg))
+    code, stdout, _ = invoke(capsys, "bench", "--kmax", "1")
+    assert code == 0
+    assert stdout.split("\n")[1].startswith("1,28,4,")
+
+
+def test_bench_json_holds_the_csv_row_and_the_split_specialize_time(capsys):
+    import json
+
+    code, csv_out, _ = invoke(capsys, "bench", "--kmax", "2")
+    code, json_out, _ = invoke(capsys, "bench", "--kmax", "2", "--json")
+    assert code == 0
+    report = json.loads(json_out)
+    assert report["kmax"] == 2 and report["cpuCount"] >= 1 and report["peakRssMiB"] > 0
+    assert report["python"].count(".") == 2
+    columns = csv_out.split("\n")[0].split(",")
+    stable = [c for c in columns if not c.endswith("Millis")]
+    for line, row in zip(csv_out.strip().split("\n")[1:], report["rows"]):
+        assert list(row)[: len(columns)] == columns
+        values = dict(zip(columns, line.split(",")))
+        assert {c: str(row[c]) for c in stable} == {c: values[c] for c in stable}
+        parts = row["specializeEmitMillis"] + row["specializeAnalysisMillis"]
+        assert abs(parts - row["specializeMillis"]) < 0.01
+
+
+def test_bench_json_and_md_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--kmax", "1", "--json", "--md"])
+    assert exc.value.code == 2
+
+
 def test_gen_random_is_reproducible(capsys):
     code, first, _ = invoke(capsys, "gen", "random", "--seed", "7", "--len", "12")
     code, second, _ = invoke(capsys, "gen", "random", "--seed", "7", "--len", "12")

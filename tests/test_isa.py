@@ -249,6 +249,14 @@ def test_render_instruction_agrees_with_program_render(instrs):
     assert render_program(p) == " ; ".join(render_instruction(u) for u in instrs)
 
 
+@given(st.lists(_instructions, min_size=1, max_size=6), st.lists(st.integers(0, 5), max_size=40))
+def test_program_render_with_shared_instruction_objects(pool, picks):
+    # Positions share objects, as parsed and projected programs do.
+    instrs = pool + [pool[i % len(pool)] for i in picks]
+    p = Program(tuple(instrs))
+    assert render_program(p) == " ; ".join(map(render_instruction, instrs))
+
+
 def test_tool_params_cap_the_step_limit():
     from pglblab.isa import MAX_STEP_LIMIT
 

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pglblab.analyzer import StateNode, build_state_graph, compute_mid, program_mid
-from pglblab.family import gen_random
+from pglblab.family import gen_random, gen_scaling_family
 from pglblab.isa import (
     AuxSpec,
     BwdJump,
     FwdJump,
+    Halt,
     NegTest,
     PosTest,
     Program,
@@ -340,6 +343,84 @@ def test_threading_a_specialized_program_shortens_hops():
     assert render_program(threaded) == "#2 ; #1 ; !"
 
 
+def service_loop(k):
+    """Family member k with each `!` turned into a jump back to position 1,
+    and its params."""
+    p, fp = gen_scaling_family(k)
+    loop = tuple(BwdJump(pos - 1) if u == Halt() else u for pos, u in enumerate(p.instructions, 1))
+    return Program(loop), fp.tool_params()
+
+
+def threading_cases():
+    """(program, params) pairs: random programs, with aux-marked and with
+    cell-bound foci too, family members, service loops, jump-state cycles."""
+    variants = (
+        P23,
+        replace(P23, aux=AuxSpec.parse("f.*")),
+        replace(P23, cell_foci=frozenset({"bool1"})),
+    )
+    for seed in range(1200):
+        params = variants[seed % 3]
+        text = render_program(gen_random(seed, 1 + seed % 16, params))
+        if params.cell_foci:
+            text = text.replace("f.", "bool1.")
+        yield parse_program(text), params
+    for k in range(1, 7):
+        p, fp = gen_scaling_family(k)
+        yield p, fp.tool_params()
+    for k in range(1, 5):
+        yield service_loop(k)
+    for text in (
+        "set:1:1 ; i#1 ; \\#1",
+        "#1 ; \\#1 ; !",
+        "f.m ; #1 ; set:1:1 ; \\#1",
+        "+f.m ; set:1:2 ; #1 ; i\\#1 ; #0 ; !",
+        "+f.m ; #2 ; #1 ; \\#1 ; !",
+    ):
+        yield parse_program(text), P12
+
+
+def test_specialize_threads_its_output_as_thread_jumps_does():
+    for p, params in threading_cases():
+        graph = build_state_graph(p, params)
+        report = specialize(graph, thread=True)
+        assert report.threaded == thread_jumps(report.output), str(p)
+        assert specialize(graph).threaded is None
+
+
+def test_specialize_threading_leaves_jump_cycles_alone():
+    # Block 2 (set:1:1 at pc 1, register 0 -> 1) leads into the cycle
+    # i#1 <-> \#1 of jump states; a jump into it keeps its target.
+    report = specialize(build_state_graph(parse_program("set:1:1 ; i#1 ; \\#1"), P11), thread=True)
+    assert render_program(report.output) == render_program(report.threaded) == "#1 ; #1 ; \\#1"
+
+
+def test_specialize_interns_its_jumps():
+    # One object per (kind, distance) across both emitted programs.
+    p, fp = gen_scaling_family(3)
+    report = specialize(build_state_graph(p, fp.tool_params()), thread=True)
+    jumps = [
+        u
+        for program in (report.output, report.threaded)
+        for u in program.instructions
+        if isinstance(u, (FwdJump, BwdJump))
+    ]
+    assert len({id(u) for u in jumps}) == len(set(jumps)) > 1
+
+
+def test_specialize_relocation_csv_renders_each_state():
+    cases = [service_loop(2), (parse_program("set:2:3 ; +f.m ; set:1:2 ; i\\#2 ; !"), P23)]
+    cases += [(gen_random(seed, 12, P23), P23) for seed in range(40)]
+    for p, params in cases:
+        graph = build_state_graph(p, params)
+        report = specialize(graph)
+        rows = ["old_key,new_start,new_len"]
+        for i, (start, size) in enumerate(relocation_blocks(report)):
+            pc, registers = graph.node(i)
+            rows.append(f"{pc}:{'-'.join(map(str, registers))},{start},{size}")
+        assert report.relocation.to_csv() == "\n".join(rows) + "\n", str(p)
+
+
 # --- equivalence checking ---
 
 
@@ -539,10 +620,8 @@ def test_check_equivalence_matches_the_reference_on_random_programs():
                 ), (seed, depth, str(p), str(q))
 
 
-def test_check_equivalence_runs_each_waiting_side_once_per_node(monkeypatch):
-    # The joint reply tree of p with itself has 5 nodes (root, F, T, TF,
-    # TT), two execute calls each, plus two per seed: 20.  Listing each
-    # side's prefixes and re-running both on the 3 compared ones took 26.
+def counted_check(monkeypatch, p, q, suite=OracleSuite()):
+    """(verdict, number of execute calls) of checking p against q."""
     calls = []
 
     def counted(*args):
@@ -550,7 +629,48 @@ def test_check_equivalence_runs_each_waiting_side_once_per_node(monkeypatch):
         return execute(*args)
 
     monkeypatch.setattr(projector, "execute", counted)
+    return check_equivalence(p, q, ToolParams(), suite), len(calls)
+
+
+def test_check_equivalence_runs_each_waiting_side_once_per_node(monkeypatch):
+    # The joint reply tree of p with itself has 5 nodes (root, F, T, TF,
+    # TT), two execute calls each: 10.  Every seed's path ends at a node
+    # where both sides stopped, so the seeded runs make no call.  Running
+    # each seed from position 1 took 10 more.
     p = parse_program("+f.m ; +g.n ; !")
-    verdict = check_equivalence(p, p, ToolParams(), OracleSuite())
+    verdict, calls = counted_check(monkeypatch, p, p)
     assert (verdict.equivalent, verdict.checked, verdict.inconclusive) == (True, 8, 0)
-    assert len(calls) == 5 * 2 + 5 * 2
+    assert calls == 5 * 2
+
+
+def test_seeded_runs_keep_a_result_the_walk_already_has(monkeypatch):
+    # A silent loop stops at the step budget at the root: 2 calls, and
+    # the 5 seeded runs reuse them (re-running them took 10 more).
+    loop = parse_program("#1 ; \\#1")
+    verdict, calls = counted_check(monkeypatch, loop, loop)
+    assert (verdict.equivalent, verdict.checked, verdict.inconclusive) == (True, 6, 6)
+    assert calls == 2
+
+
+def test_seeded_runs_resume_once_per_suite_entry(monkeypatch):
+    # Duplicate seeds are two oracles, as they were when each ran alone.
+    p = parse_program("+f.m ; +g.n ; !")
+    verdict, _ = counted_check(monkeypatch, p, p, OracleSuite(seeds=(7, 7)))
+    assert (verdict.equivalent, verdict.checked, verdict.inconclusive) == (True, 5, 0)
+
+
+def test_seeded_runs_continue_from_the_exhaustive_depth():
+    # At depths 0..2 both sides still wait, so each seeded run goes on
+    # from there with the seed's stream and the steps left: the verdicts,
+    # cut runs included, equal the step-by-step reference, which runs
+    # each seed from position 1.
+    p = parse_program("+f.m ; -g.n ; +h.m ; set:1:2 ; +f.n ; i\\#1 ; !")
+    mutant = parse_program("+f.m ; -g.n ; +h.m ; set:1:2 ; +f.n ; i\\#1 ; #0")
+    for step_limit in (7, 11, 300):
+        params = ToolParams(maxr=1, maxn=2, step_limit=step_limit)
+        report = dispatch_project(p, params)
+        for q, q_params in ((report.output, report.output_params(params)), (mutant, params)):
+            for depth in (0, 1, 2):
+                suite = OracleSuite(exhaustive_depth=depth, seeds=(5, 6, 5, 9))
+                verdict = check_equivalence(p, q, q_params, suite)
+                assert verdict == reference_check(p, q, q_params, suite), (str(q), depth)
