@@ -21,6 +21,7 @@ from .isa import (
     Halt,
     IndBwdJump,
     IndFwdJump,
+    InputError,
     Instruction,
     InvalidProgram,
     NegTest,

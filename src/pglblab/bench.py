@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, replace
 
 from .analyzer import StateLimitExceeded, build_state_graph, compute_mid, program_mid
 from .family import gen_scaling_family
-from .isa import ToolParams
+from .isa import InputError, ToolParams
 from .projector import OracleSuite, check_equivalence, dispatch_project, specialize
 
 CHECK_SEEDS = (11, 23, 47, 89, 131)
@@ -155,7 +155,7 @@ def bench_family(kmax: int, params: ToolParams = ToolParams()) -> list[BenchRow]
     in k order.
     """
     if not 1 <= kmax <= 8:
-        raise ValueError("kmax must be in 1..8")
+        raise InputError("kmax must be in 1..8")
     return [_bench_one(k, params) for k in range(1, kmax + 1)]
 
 

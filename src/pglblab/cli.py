@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from .analyzer import (
     build_state_graph,
@@ -39,13 +40,7 @@ from .isa import (
     parse_program,
     render_program,
 )
-from .projector import (
-    OracleSuite,
-    check_equivalence,
-    dispatch_project,
-    specialize,
-    thread_jumps,
-)
+from .projector import OracleSuite, check_equivalence, dispatch_project, specialize
 from .vm import (
     OracleExhausted,
     Scripted,
@@ -110,12 +105,16 @@ def _apply_config(pairs: dict[str, str], acc: dict) -> None:
             raise CLIError(f"config key {key}: {e}") from e
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _read(read: Callable[[], str], what: str) -> str:
+    """`read()`, refused as a CLIError when the text cannot be read or decoded."""
     try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise CLIError(f"cannot read config {path}: {e}") from e
-    return parse_config(text)
+        return read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CLIError(f"cannot read {what}: {e}") from e
+
+
+def _load_config(path) -> dict[str, str]:
+    return parse_config(_read(Path(path).read_text, f"config {path}"))
 
 
 def derive_bounds(programs) -> tuple[int, int]:
@@ -137,7 +136,7 @@ def resolve_params(args, programs=(), sidecars=()) -> ToolParams:
         _apply_config(_load_config(env), acc)
     for sidecar in sidecars:
         if sidecar is not None and sidecar.exists():
-            _apply_config(parse_config(sidecar.read_text()), acc)
+            _apply_config(_load_config(sidecar), acc)
     if getattr(args, "config", None):
         _apply_config(_load_config(args.config), acc)
     for key, (_, dest, parse) in _PARAMS.items():
@@ -157,25 +156,19 @@ def resolve_params(args, programs=(), sidecars=()) -> ToolParams:
 def read_program(path: str) -> tuple[Program, str, Path | None]:
     """-> (program, display name, sidecar config path or None)."""
     if path == "-":
-        text = sys.stdin.read()
-        return parse_program(text), "<stdin>", None
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise CLIError(f"cannot read {path}: {e}") from e
-    return parse_program(text), path, Path(path).with_suffix(".cfg")
+        return parse_program(_read(sys.stdin.read, "<stdin>")), "<stdin>", None
+    return parse_program(_read(Path(path).read_text, path)), path, Path(path).with_suffix(".cfg")
 
 
 def _make_oracle(spec: str | None):
     if spec is None:
         return Scripted(())
     if re.fullmatch(r"-?\d+", spec):
-        return Seeded(int(spec))
-    try:
-        text = Path(spec).read_text()
-    except OSError as e:
-        raise CLIError(f"cannot read oracle script {spec}: {e}") from e
-    return parse_oracle_script(text)
+        try:
+            return Seeded(int(spec))
+        except ValueError as e:  # more digits than int() converts
+            raise CLIError(f"bad oracle seed: {e}") from e
+    return parse_oracle_script(_read(Path(spec).read_text, f"oracle script {spec}"))
 
 
 def _cmd_run(args) -> int:
@@ -230,8 +223,12 @@ def _cmd_project(args) -> int:
     else:
         # Projecting first keeps dispatch's output-length refusal ahead of
         # any state-graph error on the source.
-        report = dispatch_project(p, params)
+        report = dispatch_project(p, params, thread=args.thread)
         mid_before = program_mid(p, params)
+    map_csv = report.relocation.to_csv()
+    # Release the map (per block a start, a length and, for specialize, a
+    # state code) before the output graphs are built.
+    report = replace(report, relocation=None)
     out_params = report.output_params(params)
     output = report.output
     # Same program, same aux marks, same MID: dispatch returns a program
@@ -243,9 +240,8 @@ def _cmd_project(args) -> int:
         mid_after = program_mid(output, out_params)
     summary = report.summary(mid_before, mid_after)
     if args.thread:
-        threaded = thread_jumps(output) if report.threaded is None else report.threaded
-        mid_threaded = mid_after if threaded == output else program_mid(threaded, out_params)
-        output = threaded
+        output = report.threaded
+        mid_threaded = mid_after if output == report.output else program_mid(output, out_params)
         summary += f"threaded=1\nmidAfterThreaded={mid_threaded.text}\n"
 
     stem = "program" if args.file == "-" else Path(args.file).stem
@@ -256,7 +252,7 @@ def _cmd_project(args) -> int:
     prefix = f"{stem}.{args.mode}"
     written = {
         out_dir / f"{prefix}.pglb": render_program(output) + "\n",
-        out_dir / f"{prefix}.map.csv": report.relocation.to_csv(),
+        out_dir / f"{prefix}.map.csv": map_csv,
         out_dir / f"{prefix}.report.txt": summary,
         out_dir / f"{prefix}.cfg": _params_config_text(out_params, out_params.cell_foci),
     }
@@ -429,9 +425,6 @@ def main(argv=None) -> int:
             message = f"{len(e.diagnostics)} diagnostic(s)"
         print(f"pglblab: {message}", file=sys.stderr)
         return e.code
-    except ValueError as e:
-        print(f"pglblab: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .isa import (
     Halt,
     IndBwdJump,
     IndFwdJump,
+    InputError,
     Instruction,
     NegTest,
     Plain,
@@ -57,7 +58,7 @@ MAX_RANDOM_LEN = 1_000_000
 def gen_scaling_family(k: int) -> tuple[Program, FamilyParams]:
     """The k-th member of the selection family; length is 12*2^k + 4."""
     if not 1 <= k <= MAX_FAMILY_K:
-        raise ValueError(f"k must be in 1..{MAX_FAMILY_K}")
+        raise InputError(f"k must be in 1..{MAX_FAMILY_K}")
     n = 2 ** k
     test = BasicInstruction("bool1", "get")
     out: list[Instruction] = []
@@ -122,7 +123,7 @@ def gen_random(
     params.maxr/maxn.
     """
     if not 1 <= length <= MAX_RANDOM_LEN:
-        raise ValueError(f"length must be in 1..{MAX_RANDOM_LEN}")
+        raise InputError(f"length must be in 1..{MAX_RANDOM_LEN}")
     table = dict(DEFAULT_KIND_WEIGHTS if weights is None else weights)
     kinds = list(table)
     kind_weights = [table[k] for k in kinds]

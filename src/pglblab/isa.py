@@ -25,6 +25,11 @@ class PglbError(Exception):
     code = 1
 
 
+class InputError(PglbError, ValueError):
+    """A refused value other than program text: a size, count or limit out of
+    range, a bad aux pattern or oracle-script line, an output over the limit."""
+
+
 class ParseError(PglbError, ValueError):
     """Raised on malformed program text; carries the 1-based source position."""
 
@@ -295,7 +300,7 @@ class AuxSpec:
                 continue
             focus, _, method = item.partition(".")
             if not focus or not method:
-                raise ValueError(f"bad aux pattern {item!r} (want focus.method)")
+                raise InputError(f"bad aux pattern {item!r} (want focus.method)")
             pats.add((focus, None if method == "*" else method))
         return cls(frozenset(pats))
 
@@ -348,11 +353,11 @@ class ToolParams:
 
     def __post_init__(self) -> None:
         if self.maxr < 1 or self.maxn < 1:
-            raise ValueError("maxr and maxn must be >= 1")
+            raise InputError("maxr and maxn must be >= 1")
         if self.maxr > MAX_REGISTERS:
-            raise ValueError(f"maxr {self.maxr} exceeds {MAX_REGISTERS}")
+            raise InputError(f"maxr {self.maxr} exceeds {MAX_REGISTERS}")
         if self.step_limit > MAX_STEP_LIMIT:
-            raise ValueError(f"step limit {self.step_limit} exceeds {MAX_STEP_LIMIT}")
+            raise InputError(f"step limit {self.step_limit} exceeds {MAX_STEP_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -364,26 +369,44 @@ class Diagnostic:
         return f"position {self.position}: {self.message}"
 
 
+_AUTO_CELL_FOCUS = re.compile(r"bool[0-9]+")
+
+#: The methods a Boolean cell serves.
+CELL_METHODS = frozenset(("set:T", "set:F", "get"))
+
+#: Instruction kinds that carry a basic instruction.
+_WITH_BASIC = frozenset((Plain, PosTest, NegTest))
+
+
+def bound_cell_foci(p: Program, params: ToolParams) -> frozenset[str]:
+    """Foci served by Boolean cells in runs of `p` under `params`."""
+    if params.cell_foci is not None:
+        return params.cell_foci
+    foci = {u.basic.focus for u in p.instructions if type(u) in _WITH_BASIC}
+    return frozenset(filter(_AUTO_CELL_FOCUS.fullmatch, foci))
+
+
 def validate(p: Program, params: ToolParams) -> list[Diagnostic]:
     """Static checks against the machine parameters.
 
     Register indexes must lie in [1, maxr] and register literals in
-    [1, maxn].  Jump targets are deliberately not checked: out-of-range
-    jumps are legal programs that deadlock at run time.
+    [1, maxn], and a focus bound to a Boolean cell takes only the methods
+    in CELL_METHODS.  Jump targets are deliberately not checked:
+    out-of-range jumps are legal programs that deadlock at run time.
     """
+    maxr, maxn, cells = params.maxr, params.maxn, bound_cell_foci(p, params)
     out: list[Diagnostic] = []
     for pos, u in enumerate(p.instructions, 1):
         kind = type(u)
-        if kind is RegSet:
-            reg = u.register
-            if u.value > params.maxn:
-                out.append(Diagnostic(pos, f"register literal {u.value} exceeds maxn={params.maxn}"))
-        elif kind is IndFwdJump or kind is IndBwdJump:
-            reg = u.register
-        else:
-            continue
-        if reg > params.maxr:
-            out.append(Diagnostic(pos, f"register index {reg} exceeds maxr={params.maxr}"))
+        if kind is RegSet or kind is IndFwdJump or kind is IndBwdJump:
+            if kind is RegSet and u.value > maxn:
+                out.append(Diagnostic(pos, f"register literal {u.value} exceeds maxn={maxn}"))
+            if u.register > maxr:
+                out.append(Diagnostic(pos, f"register index {u.register} exceeds maxr={maxr}"))
+        elif cells and kind in _WITH_BASIC:
+            b = u.basic
+            if b.focus in cells and b.method not in CELL_METHODS:
+                out.append(Diagnostic(pos, f"unknown method {b.method} on Boolean cell {b.focus}"))
     return out
 
 

@@ -34,6 +34,7 @@ from .isa import (
     Halt,
     IndBwdJump,
     IndFwdJump,
+    InputError,
     Instruction,
     NegTest,
     Plain,
@@ -42,6 +43,7 @@ from .isa import (
     RegSet,
     ToolParams,
     basic_of,
+    bound_cell_foci,
     is_pglb,
     require_valid,
 )
@@ -51,7 +53,6 @@ from .vm import (
     Scripted,
     Seeded,
     Status,
-    bound_cell_foci,
     execute,
     initial_config,
     observable_events,
@@ -85,7 +86,7 @@ class ProjectionReport:
     output: Program
     relocation: RelocationMap
     aux_introduced: frozenset[BasicInstruction]
-    #: `thread_jumps(output)`, when the projection emitted it alongside.
+    #: `thread_jumps(output)`, when the projection was asked to thread.
     threaded: Program | None = None
 
     @property
@@ -268,6 +269,10 @@ def _tree_size(levels: int) -> int:
     return 5 * 2 ** (levels - 1) - 2
 
 
+#: Direction of each jump kind in `dispatch_project`.
+_SIGN = {FwdJump: 1, IndFwdJump: 1, BwdJump: -1, IndBwdJump: -1}
+
+
 def _fresh_cell_prefix(p: Program) -> str:
     foci = {b.focus for u in p.instructions if (b := basic_of(u)) is not None}
     prefix = "r"
@@ -276,7 +281,7 @@ def _fresh_cell_prefix(p: Program) -> str:
     return prefix
 
 
-def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
+def dispatch_project(p: Program, params: ToolParams, thread: bool = False) -> ProjectionReport:
     """Replace registers with aux Boolean cells, keeping the block layout.
 
     With b = bits needed for [0, maxn], register i is held in cells
@@ -284,105 +289,92 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
     b bits; an indirect jump becomes a balanced decision tree testing bits
     most-significant-first whose 2^b leaves are direct jumps to the
     relocated targets, in ascending value order; value 0 and out-of-range
-    targets deadlock.  Raises ValueError, before emitting anything, when
+    targets deadlock.  Raises InputError, before emitting anything, when
     the output would be longer than params.state_limit.
+
+    With `thread`, the report's `threaded` is `thread_jumps(output)`.
     """
     require_valid(p, params)
-    length = len(p)
+    ins = p.instructions
+    length = len(ins)
     bits = params.maxn.bit_length()
     prefix = _fresh_cell_prefix(p)
-    tree = _tree_size(bits)
-
-    size_of = {RegSet: bits, IndFwdJump: tree, IndBwdJump: tree}
-    sizes = [0] * (length + 2)
-    for pos in range(length, 0, -1):
-        kind = type(p.at(pos))
-        if kind is PosTest or kind is NegTest:
-            # A bare test skips exactly one output instruction on its
-            # non-proceeding reply, so it can only be copied verbatim
-            # when the following block is a single instruction.
-            sizes[pos] = 1 if (pos + 1 > length or sizes[pos + 1] == 1) else 3
-        else:
-            sizes[pos] = size_of.get(kind, 1)
-    starts = [0] * (length + 1)
-    at = 1
-    for pos in range(1, length + 1):
-        starts[pos] = at
-        at += sizes[pos]
-    if at - 1 > params.state_limit:
+    size_of = {RegSet: bits, IndFwdJump: _tree_size(bits), IndBwdJump: _tree_size(bits)}
+    sizes = [size_of.get(type(u), 1) for u in ins]
+    for i in range(length - 2, -1, -1):
+        # A bare test skips exactly one output instruction on its other
+        # reply, so it stays bare only before a one-instruction block;
+        # otherwise two jumps follow it.
+        if sizes[i + 1] != 1 and type(ins[i]) in (PosTest, NegTest):
+            sizes[i] = 3
+    starts = list(accumulate(sizes, initial=1))
+    if starts[-1] - 1 > params.state_limit:
         # The tree size grows as 2^bits with bits from maxn: refuse before
         # emitting, with the limit that bounds the other constructions.
-        raise ValueError(
-            f"dispatch output of {at - 1} instructions exceeds the state limit "
+        raise InputError(
+            f"dispatch output of {starts[-1] - 1} instructions exceeds the state limit "
             f"of {params.state_limit}"
         )
 
-    aux_used: set[BasicInstruction] = set()
     jump = _Jumps()
-
-    def cell(register: int, bit: int, method: str) -> BasicInstruction:
-        b = BasicInstruction(f"{prefix}{register}b{bit}", method)
-        aux_used.add(b)
-        return b
-
-    def retarget(from_pos: int, old_target: int) -> Instruction:
-        if old_target < 1 or old_target > length:
-            return _DEADLOCK
-        return jump[starts[old_target] - from_pos]
-
+    cells: dict[tuple, Instruction] = {}
     out: list[Instruction] = []
+    add = out.append
 
-    def emit_tree(register: int, sign: int, old_pos: int, at: int) -> int:
-        def leaf(pos_out: int, value: int) -> Instruction:
-            if value == 0:
-                return _DEADLOCK
-            return retarget(pos_out, old_pos + sign * value)
+    def cell(kind: type, register: int, bit: int, method: str) -> Instruction:
+        key = (kind, register, bit, method)
+        u = cells.get(key)
+        if u is None:
+            u = cells[key] = kind(BasicInstruction(f"{prefix}{register}b{bit}", method))
+        return u
 
-        def rec(value_prefix: int, levels: int, pos_out: int) -> int:
-            if levels == 1:
-                v0 = value_prefix << 1
-                out.append(NegTest(cell(register, 0, "get")))
-                out.append(leaf(pos_out + 1, v0))
-                out.append(leaf(pos_out + 2, v0 | 1))
-                return pos_out + 3
-            zero_size = _tree_size(levels - 1)
-            one_start = pos_out + 2 + zero_size
-            out.append(PosTest(cell(register, levels - 1, "get")))
-            out.append(jump[one_start - pos_out - 1])
-            end = rec(value_prefix << 1, levels - 1, pos_out + 2)
-            assert end == one_start
-            return rec((value_prefix << 1) | 1, levels - 1, one_start)
+    def retarget(at: int, old_target: int) -> Instruction:
+        # The jump at output position `at` to the block of source position
+        # `old_target`, or a deadlock when there is no such position.
+        if 1 <= old_target <= length:
+            return jump[starts[old_target - 1] - at]
+        return _DEADLOCK
 
-        return rec(0, bits, at)
+    def tree(register: int, pos: int, sign: int, levels: int, high: int, at: int) -> None:
+        # The decision tree at output position `at` over the low `levels`
+        # bits of the register, whose higher bits are `high`.  The leaf of
+        # value v jumps to source position pos + sign * v; value 0 deadlocks.
+        if levels == 1:
+            # Bit 0 unset proceeds to the even leaf; set, it skips to the odd.
+            add(cell(NegTest, register, 0, "get"))
+            for v in (high << 1, high << 1 | 1):
+                at += 1
+                add(retarget(at, pos + sign * v) if v else _DEADLOCK)
+            return
+        # The top bit set proceeds to a jump past the subtree where it is unset.
+        one_start = at + 2 + _tree_size(levels - 1)
+        add(cell(PosTest, register, levels - 1, "get"))
+        add(jump[one_start - at - 1])
+        tree(register, pos, sign, levels - 1, high << 1, at + 2)
+        tree(register, pos, sign, levels - 1, high << 1 | 1, one_start)
 
-    for pos in range(1, length + 1):
-        u = p.at(pos)
-        base = starts[pos]
-        match u:
-            case Halt() | Plain():
-                out.append(u)
-            case PosTest() | NegTest():
-                out.append(u)
-                if sizes[pos] != 1:
-                    out.append(retarget(base + 1, pos + 1))
-                    out.append(retarget(base + 2, pos + 2))
-            case FwdJump(l):
-                out.append(u if l == 0 else retarget(base, pos + l))
-            case BwdJump(l):
-                out.append(u if l == 0 else retarget(base, pos - l))
-            case RegSet(i, n):
-                for bit in range(bits - 1, -1, -1):
-                    method = "set:T" if (n >> bit) & 1 else "set:F"
-                    out.append(Plain(cell(i, bit, method)))
-            case IndFwdJump(i):
-                end = emit_tree(i, 1, pos, base)
-                assert end == base + tree
-            case IndBwdJump(i):
-                end = emit_tree(i, -1, pos, base)
-                assert end == base + tree
+    for pos, u, at, size in zip(range(1, length + 1), ins, starts, sizes):
+        kind = type(u)
+        if kind is RegSet:
+            for bit in range(bits - 1, -1, -1):
+                add(cell(Plain, u.register, bit, "set:T" if u.value >> bit & 1 else "set:F"))
+        elif kind is IndFwdJump or kind is IndBwdJump:
+            tree(u.register, pos, _SIGN[kind], bits, 0, at)
+        elif kind is FwdJump or kind is BwdJump:
+            add(retarget(at, pos + _SIGN[kind] * u.distance) if u.distance else u)
+        else:
+            add(u)
+            if size == 3:
+                add(retarget(at + 1, pos + 1))
+                add(retarget(at + 2, pos + 2))
 
-    relocation = RelocationMap(starts[1:], sizes[1 : length + 1], lambda i: str(i + 1))
-    return ProjectionReport("dispatch", p, Program(tuple(out)), relocation, frozenset(aux_used))
+    assert len(out) == starts[-1] - 1, "blocks emitted as sized"
+    output = Program(tuple(out))
+    relocation = RelocationMap(starts[:-1], sizes, lambda i: str(i + 1))
+    return ProjectionReport(
+        "dispatch", p, output, relocation, frozenset(u.basic for u in cells.values()),
+        thread_jumps(output) if thread else None,
+    )
 
 
 def thread_jumps(p: Program) -> Program:

@@ -11,7 +11,6 @@ only tests do.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -23,6 +22,7 @@ from .isa import (
     Halt,
     IndBwdJump,
     IndFwdJump,
+    InputError,
     Instruction,
     NegTest,
     PglbError,
@@ -32,11 +32,10 @@ from .isa import (
     RegSet,
     ToolParams,
     basic_of,
+    bound_cell_foci,
     render_instruction,
     require_valid,
 )
-
-_AUTO_CELL_FOCUS = re.compile(r"bool[0-9]+")
 
 
 class Status(Enum):
@@ -51,7 +50,8 @@ class OracleExhausted(PglbError, RuntimeError):
 
 
 class UnknownCellMethod(PglbError, RuntimeError):
-    """A Boolean cell received a method other than set:T, set:F or get."""
+    """A Boolean cell received a method other than set:T, set:F or get.
+    `validate` refuses such programs; this guards runs that skipped it."""
 
     def __init__(self, method: str):
         super().__init__(f"unknown method {method} on a Boolean cell")
@@ -150,17 +150,6 @@ class MachineConfig:
     cells: dict[str, bool]
     oracle: ReplyOracle
     status: Status = Status.RUNNING
-
-
-def bound_cell_foci(p: Program, params: ToolParams) -> frozenset[str]:
-    """Foci served by Boolean cells in runs of `p` under `params`."""
-    if params.cell_foci is not None:
-        return params.cell_foci
-    return frozenset(
-        b.focus
-        for u in p.instructions
-        if (b := basic_of(u)) is not None and _AUTO_CELL_FOCUS.fullmatch(b.focus)
-    )
 
 
 def initial_config(p: Program, params: ToolParams, oracle: ReplyOracle) -> MachineConfig:
@@ -307,6 +296,6 @@ def parse_oracle_script(text: str) -> Scripted:
         if not line:
             continue
         if line not in ("T", "F"):
-            raise ValueError(f"line {lineno}: oracle script lines must be 'T' or 'F'")
+            raise InputError(f"line {lineno}: oracle script lines must be 'T' or 'F'")
         replies.append(line == "T")
     return Scripted(tuple(replies))

@@ -22,7 +22,7 @@ from pglblab.analyzer import (
 )
 from pglblab.bench import bench_family
 from pglblab.family import gen_scaling_family, gen_random
-from pglblab.isa import AuxSpec, ToolParams, is_pglb, parse_program
+from pglblab.isa import AuxSpec, InvalidProgram, ToolParams, is_pglb, parse_program
 from pglblab.projector import (
     OracleSuite,
     check_equivalence,
@@ -30,7 +30,16 @@ from pglblab.projector import (
     specialize,
     thread_jumps,
 )
-from pglblab.vm import Scripted, Seeded, UnknownCellMethod, observable_events, run, trace_text
+from pglblab.vm import (
+    Scripted,
+    Seeded,
+    UnknownCellMethod,
+    execute,
+    initial_config,
+    observable_events,
+    run,
+    trace_text,
+)
 
 
 def specialize_program(p, params):
@@ -197,8 +206,13 @@ def test_core_semantics_laws():
     checks.append(
         ("cell set:F routes false", [e.position for e in trace.events] == [1, 2, 4])
     )
+    # An unknown cell method is refused before the run; the interpreter
+    # itself still refuses it in an unvalidated program.
+    frob = parse_program("bool1.frob ; !")
+    with pytest.raises(InvalidProgram):
+        run(frob, params, Scripted(()))
     with pytest.raises(UnknownCellMethod):
-        run(parse_program("bool1.frob ; !"), params, Scripted(()))
+        execute(frob, initial_config(frob, params, Scripted(())), 10)
 
     # determinism: same program, same oracle, same trace
     p = gen_random(42, 20, ToolParams(maxr=2, maxn=3))

@@ -4,7 +4,9 @@ import sys
 import pytest
 
 from pglblab.cli import derive_bounds, main, parse_config
-from pglblab.isa import parse_program
+from pglblab.family import gen_scaling_family
+from pglblab.isa import parse_program, render_program
+from pglblab.projector import dispatch_project, thread_jumps
 
 
 def invoke(capsys, *argv):
@@ -108,6 +110,21 @@ def test_project_thread_reports_threaded_mid(tmp_path, capsys):
     report = (tmp_path / "p1.specialize.report.txt").read_text()
     assert "threaded=1" in report
     assert "midAfterThreaded=1" in report
+
+
+def test_project_dispatch_thread_writes_the_threaded_output(tmp_path, capsys):
+    src = tmp_path / "p2.pglb"
+    invoke(capsys, "gen", "family", "--k", "2", "--out", str(src))
+    code, _, _ = invoke(
+        capsys, "project", str(src), "--mode", "dispatch", "--thread", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    p, fp = gen_scaling_family(2)
+    output = dispatch_project(p, fp.tool_params()).output
+    threaded = thread_jumps(output)
+    assert threaded != output
+    assert (tmp_path / "p2.dispatch.pglb").read_text() == render_program(threaded) + "\n"
+    assert "threaded=1" in (tmp_path / "p2.dispatch.report.txt").read_text()
 
 
 def test_check_finds_counterexample(tmp_path, capsys):
@@ -253,7 +270,7 @@ def test_gen_random_is_reproducible(capsys):
     assert len(parse_program(first).instructions) == 12
 
 
-@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("command", ["run", "check", "mid"])
 def test_unknown_cell_method_is_one_line_diagnostic(tmp_path, capsys, command):
     prog = tmp_path / "p.pglb"
     prog.write_text("bool1.foo ; !\n")
@@ -261,7 +278,18 @@ def test_unknown_cell_method_is_one_line_diagnostic(tmp_path, capsys, command):
     code, stdout, stderr = invoke(capsys, *argv)
     assert code == 1
     assert stdout == ""
-    assert stderr == "pglblab: unknown method foo on a Boolean cell\n"
+    assert stderr == (
+        f"{prog}: position 1: unknown method foo on Boolean cell bool1\n"
+        "pglblab: 1 diagnostic(s)\n"
+    )
+
+
+def test_unknown_method_on_an_unbound_focus_is_accepted(tmp_path, capsys):
+    prog = tmp_path / "p.pglb"
+    prog.write_text("bool1.foo ; !\n")
+    code, stdout, _ = invoke(capsys, "mid", str(prog), "--cells", "")
+    assert code == 0
+    assert stdout.startswith("MID = 0\n")
 
 
 def test_gen_family_rejects_large_k(capsys):

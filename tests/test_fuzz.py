@@ -4,8 +4,9 @@ a typed diagnostic, never a traceback.
 Limits stay small so no example asks for much time or memory: state
 limits up to 10^4, step limits up to 10^3, `check --depth` up to 4,
 family members up to k=3 and random programs up to 50 instructions.
-`bench` is left out; it runs whole family members by design.  Explicit
-examples run one input per kind of refusal on every run.
+`bench` is left out of the draws; it runs whole family members by design.
+Explicit examples run one input per kind of refusal on every run, `bench
+--kmax` out of range among them.
 """
 import contextlib
 import io
@@ -90,6 +91,12 @@ def refusal(text, *argv):
 @refusal("f.m ; f.m ; !", "mid", "--state-limit", "1")
 @refusal("f.m ; f.m ; !", "project", "--mode", "specialize", "--out-dir", "{dir}", "--state-limit", "1")
 @refusal("set:1:99999999999999999999 ; i#1", "project", "--mode", "dispatch", "--out-dir", "{dir}")
+@refusal("bool1.foo ; !", "mid")
+@refusal("f.m ; !", "mid", "--aux", "bad")
+@example(case=(["run", "{dir}/p.pglb", "--oracle", "{dir}/oracle.txt"], {"p.pglb": "+f.m ; !", "oracle.txt": "X\n"}))
+@example(case=(["gen", "family", "--k", "40"], {}))
+@example(case=(["gen", "random", "--seed", "1", "--len", "0"], {}))
+@example(case=(["bench", "--kmax", "9"], {}))
 def test_random_command_lines_end_in_a_result_or_a_diagnostic(case):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -177,6 +177,19 @@ def test_validate_ignores_jump_targets():
     assert validate(p, ToolParams()) == []
 
 
+@pytest.mark.parametrize("text", ["bool1.foo ; !", "+bool1.foo ; !", "-bool1.foo ; !"])
+def test_validate_refuses_unknown_methods_on_bound_cells(text):
+    diags = validate(parse_program(text), ToolParams())
+    assert list(map(str, diags)) == ["position 1: unknown method foo on Boolean cell bool1"]
+
+
+def test_validate_accepts_any_method_on_unbound_foci():
+    p = parse_program("f.foo ; bool1.set:T ; +bool1.get ; -bool1.set:F ; !")
+    assert validate(p, ToolParams()) == []
+    assert validate(parse_program("bool1.foo ; !"), ToolParams(cell_foci=frozenset())) == []
+    assert validate(parse_program("f.foo ; !"), ToolParams(cell_foci=frozenset({"f"}))) != []
+
+
 def test_is_pglb():
     assert is_pglb(parse_program("f.m ; +f.m ; #2 ; \\#1 ; !"))
     assert not is_pglb(parse_program("set:1:1 ; !"))

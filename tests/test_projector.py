@@ -11,6 +11,7 @@ from pglblab.isa import (
     FwdJump,
     Halt,
     NegTest,
+    Plain,
     PosTest,
     Program,
     ToolParams,
@@ -363,7 +364,8 @@ def threading_cases():
         params = variants[seed % 3]
         text = render_program(gen_random(seed, 1 + seed % 16, params))
         if params.cell_foci:
-            text = text.replace("f.", "bool1.")
+            # A Boolean cell serves only set:T, set:F and get.
+            text = text.replace("f.m", "bool1.get").replace("f.n", "bool1.set:T")
         yield parse_program(text), params
     for k in range(1, 7):
         p, fp = gen_scaling_family(k)
@@ -405,6 +407,26 @@ def test_specialize_interns_its_jumps():
         for u in program.instructions
         if isinstance(u, (FwdJump, BwdJump))
     ]
+    assert len({id(u) for u in jumps}) == len(set(jumps)) > 1
+
+
+def test_dispatch_threads_its_output_as_thread_jumps_does():
+    for p, params in threading_cases():
+        report = dispatch_project(p, params, thread=True)
+        assert report.threaded == thread_jumps(report.output), str(p)
+        assert dispatch_project(p, params).threaded is None
+
+
+def test_dispatch_interns_its_cells_and_jumps():
+    # One basic instruction object per (focus, method) on the introduced
+    # cells, and one jump object per (kind, distance).
+    p, fp = gen_scaling_family(3)
+    report = dispatch_project(p, fp.tool_params())
+    ins = report.output.instructions
+    basics = [u.basic for u in ins if isinstance(u, (Plain, PosTest, NegTest))]
+    cells = [b for b in basics if b.focus in report.aux_foci]
+    assert len({id(b) for b in cells}) == len(set(cells)) > 1
+    jumps = [u for u in ins if isinstance(u, (FwdJump, BwdJump))]
     assert len({id(u) for u in jumps}) == len(set(jumps)) > 1
 
 

@@ -7,6 +7,7 @@ from pglblab.family import gen_scaling_family, gen_random
 from pglblab.isa import (
     AuxSpec,
     BasicInstruction,
+    InvalidProgram,
     NegTest,
     Plain,
     PosTest,
@@ -24,6 +25,7 @@ from pglblab.vm import (
     UnknownCellMethod,
     bound_cell_foci,
     cell_reply,
+    execute,
     initial_config,
     observable_events,
     parse_oracle_script,
@@ -150,8 +152,12 @@ def test_cell_initial_contents_overridable():
 
 
 def test_unknown_cell_method_raises():
+    p = parse_program("bool1.run ; !")
+    # `run` validates first; `execute` refuses the method when it meets it.
+    with pytest.raises(InvalidProgram):
+        run(p, P, Scripted(()))
     with pytest.raises(UnknownCellMethod):
-        run(parse_program("bool1.run ; !"), P, Scripted(()))
+        execute(p, initial_config(p, P, Scripted(())), 10)
 
 
 def test_auto_cell_binding_matches_bool_digits_only():
