@@ -219,10 +219,10 @@ class MidResult:
 
     `value` is the MID, or None when it is unbounded.  For a finite value,
     `witness` is a run segment (state sequence) with zero-weight endpoints
-    achieving it.  For an unbounded one, the (stem, cycle, exit_path)
-    triple exhibits a positive-weight anchor-free cycle with anchors on
-    both sides, and `witness` is one replayable pass: stem, one full cycle
-    lap, exit.
+    achieving it, or empty when no anchor is reachable.  For an unbounded
+    one, the (stem, cycle, exit_path) triple exhibits a positive-weight
+    anchor-free cycle with anchors on both sides, and `witness` is one
+    replayable pass: stem, one full cycle lap, exit.
     """
 
     value: int | None
@@ -230,9 +230,6 @@ class MidResult:
     stem: tuple[StateNode, ...] = ()
     cycle: tuple[StateNode, ...] = ()
     exit_path: tuple[StateNode, ...] = ()
-    no_anchor: bool = False
-    open_tail: int = 0
-    open_tail_unbounded: bool = False
 
     @property
     def text(self) -> str:
@@ -251,11 +248,8 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
 
     * a non-trivial closing SCC is a positive cycle with anchors on both
       sides, so MID is unbounded;
-    * a non-trivial SCC that does not close pumps weight into a run that
-      never meets an anchor again, so the open tail is unbounded;
     * a single state gets its longest interior weight to an anchor (the
-      segment DP) and its longest never-closing continuation (the
-      open-tail DP), each the first maximum over successors in edge order.
+      segment DP), the first maximum over successors in edge order.
     """
     base = len(graph.program) + 1
     wpc = [0] + [id_weight(u, aux) for u in graph.program.instructions]
@@ -265,7 +259,7 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
 
     anchors = [i for i, x in enumerate(w) if not x]
     if not anchors:
-        return MidResult(0, (), no_anchor=True)
+        return MidResult(0, ())
 
     n = len(w)
     done = n + 1  # `low` of a state whose SCC is finished
@@ -273,12 +267,10 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
     low = [0] * n
     best_from = [-1] * n  # segment DP; -1 = does not close
     best_next = [-1] * n
-    tail = [-1] * n  # open-tail DP; -1 = every continuation closes
     counter = 0
     stack: list[int] = []
     canonical = n  # lowest state in a non-trivial closing SCC
     canonical_scc: list[int] = []
-    pumping = False  # some non-trivial SCC exists
 
     for a in anchors:
         for root in targets[offsets[a]:offsets[a + 1]]:
@@ -310,38 +302,27 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
                     if low[v] == index[v]:
                         # v roots an SCC.  Every rule moves the pc, so
                         # a state never succeeds itself: a lone state is
-                        # acyclic and takes the two DPs.
-                        lo = offsets[v]
+                        # acyclic and takes the segment DP.
                         if stack[-1] == v:
                             stack.pop()
                             low[v] = done
-                            best = chosen = cont = -1
-                            for t in targets[lo:end]:
-                                if not w[t]:
-                                    cand = 0
-                                else:
-                                    cand = best_from[t]
-                                    if tail[t] > cont:
-                                        cont = tail[t]
+                            best = chosen = -1
+                            for t in targets[offsets[v]:end]:
+                                cand = best_from[t] if w[t] else 0
                                 if cand > best:
                                     best, chosen = cand, t
                             if best >= 0:
                                 best_from[v] = w[v] + best
                                 best_next[v] = chosen
-                            if lo == end:
-                                tail[v] = w[v]
-                            elif cont >= 0:
-                                tail[v] = w[v] + cont
                         else:
                             pos = len(stack) - 1
                             while stack[pos] != v:
                                 pos -= 1
                             scc = stack[pos:]
                             del stack[pos:]
-                            # A cycle: MID or the open tail is unbounded.
+                            # A cycle: MID is unbounded if it closes.
                             for x in scc:
                                 low[x] = done
-                            pumping = True
                             closes = any(
                                 not w[t] or best_from[t] > 0
                                 for x in scc
@@ -374,19 +355,15 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
             stem=decode(stem),
             cycle=decode(cycle),
             exit_path=decode(exit_path),
-            open_tail_unbounded=True,
         )
 
     mid = 0
     arg = None
-    open_tail = 0
     for a in anchors:
         for s in targets[offsets[a]:offsets[a + 1]]:
             if best_from[s] > mid:
                 mid = best_from[s]
                 arg = (a, s)
-            if tail[s] > open_tail:
-                open_tail = tail[s]
     if arg is None:
         witness = decode(anchors[:1])
     else:
@@ -394,9 +371,7 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
         while w[chain[-1]]:
             chain.append(best_next[chain[-1]])
         witness = decode(chain)
-    if pumping:
-        return MidResult(mid, witness, open_tail_unbounded=True)
-    return MidResult(mid, witness, open_tail=open_tail)
+    return MidResult(mid, witness)
 
 
 def program_mid(p: Program, params: ToolParams) -> MidResult:

@@ -40,7 +40,7 @@ from .isa import (
     parse_program,
     render_program,
 )
-from .projector import OracleSuite, check_equivalence, dispatch_project, specialize
+from .projector import OracleSuite, check_equivalence, dispatch_project, specialize, thread_jumps
 from .vm import (
     OracleExhausted,
     Scripted,
@@ -111,6 +111,14 @@ def _read(read: Callable[[], str], what: str) -> str:
         return read()
     except (OSError, UnicodeDecodeError) as e:
         raise CLIError(f"cannot read {what}: {e}") from e
+
+
+def _write(path: Path, text: str) -> None:
+    """`path.write_text(text)`, refused as a CLIError when the file cannot be written."""
+    try:
+        path.write_text(text)
+    except OSError as e:
+        raise CLIError(f"cannot write {path}: {e}") from e
 
 
 def _load_config(path) -> dict[str, str]:
@@ -217,13 +225,13 @@ def _cmd_project(args) -> int:
     params = resolve_params(args, programs=(p,), sidecars=(sidecar,))
     if args.mode == "specialize":
         graph = build_state_graph(p, params)
-        report = specialize(graph, thread=args.thread)
+        report = specialize(graph)
         mid_before = compute_mid(graph, params.aux)
         del graph  # free it before the output graphs are built
     else:
         # Projecting first keeps dispatch's output-length refusal ahead of
         # any state-graph error on the source.
-        report = dispatch_project(p, params, thread=args.thread)
+        report = dispatch_project(p, params)
         mid_before = program_mid(p, params)
     map_csv = report.relocation.to_csv()
     # Release the map (per block a start, a length and, for specialize, a
@@ -240,7 +248,7 @@ def _cmd_project(args) -> int:
         mid_after = program_mid(output, out_params)
     summary = report.summary(mid_before, mid_after)
     if args.thread:
-        output = report.threaded
+        output = thread_jumps(output)
         mid_threaded = mid_after if output == report.output else program_mid(output, out_params)
         summary += f"threaded=1\nmidAfterThreaded={mid_threaded.text}\n"
 
@@ -248,7 +256,10 @@ def _cmd_project(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else (
         Path(".") if args.file == "-" else Path(args.file).parent
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CLIError(f"cannot create directory {out_dir}: {e}") from e
     prefix = f"{stem}.{args.mode}"
     written = {
         out_dir / f"{prefix}.pglb": render_program(output) + "\n",
@@ -257,7 +268,7 @@ def _cmd_project(args) -> int:
         out_dir / f"{prefix}.cfg": _params_config_text(out_params, out_params.cell_foci),
     }
     for path, content in written.items():
-        path.write_text(content)
+        _write(path, content)
         print(f"wrote {path}")
     return 0
 
@@ -268,9 +279,9 @@ def _write_program(out: str | None, p: Program, params: ToolParams) -> None:
         sys.stdout.write(text)
         return
     path = Path(out)
-    path.write_text(text)
-    path.with_suffix(".cfg").write_text(_params_config_text(params, None))
+    _write(path, text)
     print(f"wrote {path}")
+    _write(path.with_suffix(".cfg"), _params_config_text(params, None))
     print(f"wrote {path.with_suffix('.cfg')}")
 
 
@@ -290,11 +301,11 @@ def _cmd_bench(args) -> int:
     rows = bench_family(args.kmax, params)
     text = to_json(rows) if args.json else to_csv(rows)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(Path(args.out), text)
         print(f"wrote {args.out}")
         if args.md:
             md_path = Path(args.out).with_suffix(".md")
-            md_path.write_text(to_markdown(rows))
+            _write(md_path, to_markdown(rows))
             print(f"wrote {md_path}")
     else:
         sys.stdout.write(to_markdown(rows) if args.md else text)

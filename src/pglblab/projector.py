@@ -14,9 +14,10 @@ Two constructions with opposite trade-offs:
 
 Projections emit programs and do no analysis: the caller computes the MID
 of each program it reports, under `ProjectionReport.output_params` for the
-output.  `check_equivalence` compares observable behaviour over an oracle
-suite, and `thread_jumps` collapses chains of direct jumps in register-free
-programs.
+output.  `thread_jumps` is a separate linear pass over any register-free
+program, either projection's output included, that collapses chains of
+direct jumps.  `check_equivalence` compares observable behaviour over an
+oracle suite.
 """
 from __future__ import annotations
 
@@ -86,8 +87,6 @@ class ProjectionReport:
     output: Program
     relocation: RelocationMap
     aux_introduced: frozenset[BasicInstruction]
-    #: `thread_jumps(output)`, when the projection was asked to thread.
-    threaded: Program | None = None
 
     @property
     def length_before(self) -> int:
@@ -126,7 +125,8 @@ class ProjectionReport:
 class _Jumps(dict):
     """Signed distance d -> the one direct jump of that distance (`#d`,
     or `\\#-d` for negative d), made on first use.  One lives for one
-    emission, so no call reuses another call's objects."""
+    emission, so no call reuses another call's objects; `thread_jumps`
+    seeds its own with its input's jumps."""
 
     def __missing__(self, d: int) -> Instruction:
         assert d != 0, "a block never jumps to itself"
@@ -139,43 +139,11 @@ _DEADLOCK = FwdJump(0)
 #: Output block length per instruction kind in `specialize`; 1 otherwise.
 _BLOCK_SIZE = {Plain: 2, PosTest: 3, NegTest: 3}
 
-#: Instruction kinds whose `specialize` block is one jump: a jump state.
+#: Instruction kinds whose `specialize` block is one jump.
 _JUMP_KINDS = frozenset((FwdJump, BwdJump, RegSet, IndFwdJump, IndBwdJump))
 
 
-def _chain_ends(graph: StateGraph, pcs: list[int]) -> list[int]:
-    """For each state, the state where its chain of jump states ends.
-
-    A jump state with a successor passes its chain on to that successor;
-    any other state ends the chains that reach it.  -1 marks a chain that
-    enters a cycle of jump states.  Each state is resolved once: a walk
-    stops at the first state already resolved.
-    """
-    offsets, targets = graph.offsets, graph.targets
-    passes = [False] + [type(u) in _JUMP_KINDS for u in graph.program.instructions]
-    end = [None] * len(pcs)
-    for i in range(len(pcs)):
-        if end[i] is not None:
-            continue
-        path = []
-        j = i
-        while end[j] is None:
-            o = offsets[j]
-            if not passes[pcs[j]] or o == offsets[j + 1]:
-                end[j] = j
-                break
-            # Marked as cyclic while on the walk: meeting it again closes
-            # a cycle, and every state of the walk then enters it.
-            end[j] = -1
-            path.append(j)
-            j = targets[o]
-        e = end[j]
-        for s in path:
-            end[s] = e
-    return end
-
-
-def specialize(graph: StateGraph, thread: bool = False) -> ProjectionReport:
+def specialize(graph: StateGraph) -> ProjectionReport:
     """Unfold a reachable state graph into a register-free program.
 
     The source is `graph.program`.  Every reachable (position, registers)
@@ -183,11 +151,6 @@ def specialize(graph: StateGraph, thread: bool = False) -> ProjectionReport:
     successor jumps, register sets and resolved indirect jumps become
     single direct jumps, deadlocking outcomes become '#0'.  Only reachable
     states are emitted.
-
-    With `thread`, the same walk also emits the report's `threaded`
-    program, equal to `thread_jumps(output)`: each jump lands where the
-    chain of jump states behind its target ends, or on its own target
-    when that chain enters a cycle.
     """
     p = graph.program
     ins = p.instructions
@@ -196,14 +159,9 @@ def specialize(graph: StateGraph, thread: bool = False) -> ProjectionReport:
     block_size = [0] + [_BLOCK_SIZE.get(type(u), 1) for u in ins]
     sizes = list(map(block_size.__getitem__, pcs))
     starts = list(accumulate(sizes, initial=1))
-    if thread:
-        lands = [starts[t if e < 0 else e] for t, e in enumerate(_chain_ends(graph, pcs))]
     jump = _Jumps()
-    dead = _DEADLOCK
     out: list[Instruction] = []
     add = out.append
-    threaded: list[Instruction] = []
-    add_threaded = threaded.append
     for pc, at, o, e in zip(pcs, starts, offsets, islice(offsets, 1, None)):
         u = ins[pc - 1]
         kind = type(u)
@@ -216,8 +174,6 @@ def specialize(graph: StateGraph, thread: bool = False) -> ProjectionReport:
             slots = (targets[o],) if o < e else (None,)
         else:
             add(u)
-            if thread:
-                add_threaded(u)
             at += 1
             if kind is Plain:
                 slots = (targets[o],) if o < e else (None,)
@@ -233,14 +189,7 @@ def specialize(graph: StateGraph, thread: bool = False) -> ProjectionReport:
                 # Only the pc+1 outcome, if any, stays in the program.
                 slots = (targets[o], None) if o < e else (None, None)
         for t in slots:
-            if t is None:
-                add(dead)
-                if thread:
-                    add_threaded(dead)
-            else:
-                add(jump[starts[t] - at])
-                if thread:
-                    add_threaded(jump[lands[t] - at])
+            add(_DEADLOCK if t is None else jump[starts[t] - at])
             at += 1
 
     node = graph.decoder()
@@ -257,10 +206,7 @@ def specialize(graph: StateGraph, thread: bool = False) -> ProjectionReport:
         return f"{pc}:{suffix}"
 
     relocation = RelocationMap(starts[:-1], sizes, state_key)
-    return ProjectionReport(
-        "specialize", p, Program(tuple(out)), relocation, frozenset(),
-        Program(tuple(threaded)) if thread else None,
-    )
+    return ProjectionReport("specialize", p, Program(tuple(out)), relocation, frozenset())
 
 
 def _tree_size(levels: int) -> int:
@@ -281,7 +227,7 @@ def _fresh_cell_prefix(p: Program) -> str:
     return prefix
 
 
-def dispatch_project(p: Program, params: ToolParams, thread: bool = False) -> ProjectionReport:
+def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
     """Replace registers with aux Boolean cells, keeping the block layout.
 
     With b = bits needed for [0, maxn], register i is held in cells
@@ -291,8 +237,6 @@ def dispatch_project(p: Program, params: ToolParams, thread: bool = False) -> Pr
     relocated targets, in ascending value order; value 0 and out-of-range
     targets deadlock.  Raises InputError, before emitting anything, when
     the output would be longer than params.state_limit.
-
-    With `thread`, the report's `threaded` is `thread_jumps(output)`.
     """
     require_valid(p, params)
     ins = p.instructions
@@ -369,11 +313,9 @@ def dispatch_project(p: Program, params: ToolParams, thread: bool = False) -> Pr
                 add(retarget(at + 2, pos + 2))
 
     assert len(out) == starts[-1] - 1, "blocks emitted as sized"
-    output = Program(tuple(out))
     relocation = RelocationMap(starts[:-1], sizes, lambda i: str(i + 1))
     return ProjectionReport(
-        "dispatch", p, output, relocation, frozenset(u.basic for u in cells.values()),
-        thread_jumps(output) if thread else None,
+        "dispatch", p, Program(tuple(out)), relocation, frozenset(u.basic for u in cells.values())
     )
 
 
@@ -382,40 +324,52 @@ def thread_jumps(p: Program) -> Program:
 
     Chains stop at the first non-jump instruction or at a jump that itself
     deadlocks (distance 0 or out-of-range target); jump cycles are left
-    intact.  Length-preserving and idempotent.
+    intact.  Length-preserving and idempotent.  Each position's chain end
+    is resolved once, so the pass is linear in the length.  The output
+    holds one jump object per nonzero distance, the input's own where it
+    has one.
     """
     if not is_pglb(p):
         raise ValueError("thread_jumps expects a register-free program")
     src = p.instructions
     length = len(src)
+    # Signed distance of the jump at each position, 0 for any other kind.
+    dist = [0] + [
+        u.distance if type(u) is FwdJump else -u.distance if type(u) is BwdJump else 0
+        for u in src
+    ]
+    # One input jump per distance, so the output shares them; distance 0
+    # keys the other instructions.
+    jump = _Jumps(zip(islice(dist, 1, None), src))
+    jump.pop(0, None)
+    # The position where the chain through each position ends; -1 marks a
+    # chain that enters a cycle, 0 a position not yet resolved.
+    end = [0] * (length + 1)
     out = list(src)
-    jump = _Jumps()
     for pos in range(1, length + 1):
-        u = src[pos - 1]
-        if not isinstance(u, (FwdJump, BwdJump)):
+        d = dist[pos]
+        if not d:
             continue
-        if u.distance == 0:
-            continue
-        target = pos + u.distance if isinstance(u, FwdJump) else pos - u.distance
-        if target < 1 or target > length:
-            continue
-        visited = {pos}
-        cur = target
-        cyclic = False
-        while isinstance(v := src[cur - 1], (FwdJump, BwdJump)):
-            if cur in visited:
-                cyclic = True
+        # Walk to the first resolved position.  The walk is marked cyclic
+        # as it goes: meeting it again closes a cycle, which every position
+        # of the walk then enters.
+        j = pos
+        while not end[j]:
+            t = j + dist[j]
+            if t == j or not 1 <= t <= length:
+                end[j] = j
                 break
-            visited.add(cur)
-            if v.distance == 0:
-                break
-            nxt = cur + v.distance if isinstance(v, FwdJump) else cur - v.distance
-            if nxt < 1 or nxt > length:
-                break
-            cur = nxt
-        if cyclic or cur == target:
-            continue
-        out[pos - 1] = jump[cur - pos]
+            end[j] = -1
+            j = t
+        # Every position of the walk takes the end it led to.
+        e = end[j]
+        i = pos
+        while i != j:
+            end[i] = e
+            i += dist[i]
+        # A deadlocking jump ends its own chain; a cyclic one keeps its
+        # target.
+        out[pos - 1] = jump[d if e < 0 or e == pos else e - pos]
     return Program(tuple(out))
 
 

@@ -105,6 +105,8 @@ def test_state_graph_rejects_invalid_program():
 
 def test_mid_of_plain_sequence_is_zero():
     assert mid_of("f.m ; g.n ; !", ToolParams()).value == 0
+    # Weight after the last anchor closes no segment.
+    assert mid_of("f.m ; #0", ToolParams()).value == 0
 
 
 def test_mid_counts_weights_between_observable_steps():
@@ -139,7 +141,7 @@ def test_mid_ignores_unreachable_weight():
 def test_mid_zero_when_no_anchor_reachable():
     result = mid_of("#1 ; \\#1", ToolParams())
     assert result.value == 0
-    assert result.no_anchor
+    assert result.witness == ()
 
 
 def test_aux_marking_turns_anchors_into_delay():
@@ -181,17 +183,10 @@ def test_brute_force_grows_with_depth_on_unbounded_programs():
 
 def test_positive_cycle_needs_anchors_on_both_sides():
     # The loop pumps weight but can never close at an anchor afterwards:
-    # not unbounded MID, but an unbounded open tail.
+    # not an unbounded MID.
     result = mid_of("f.m ; #2 ; ! ; \\#2", ToolParams())
     assert result.value == 0
-    assert result.open_tail_unbounded
-
-
-def test_open_tail_without_cycle_is_measured():
-    result = mid_of("f.m ; #0", ToolParams())
-    assert result.value == 0
-    assert result.open_tail == 1
-    assert not result.open_tail_unbounded
+    assert result.cycle == ()
 
 
 # --- the brute-force differential oracle ---

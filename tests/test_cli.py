@@ -207,6 +207,23 @@ def test_parse_error_reported(tmp_path, capsys):
     assert "pglblab:" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (("project", "{dir}/p.pglb", "--mode", "dispatch", "--out-dir", "{dir}/afile"), "afile"),
+        (("gen", "family", "--k", "1", "--out", "{dir}/nodir/x.pglb"), "x.pglb"),
+        (("bench", "--kmax", "1", "--out", "{dir}/nodir/b.csv"), "b.csv"),
+    ],
+)
+def test_unwritable_output_is_one_line_diagnostic(argv, target, tmp_path, capsys):
+    (tmp_path / "p.pglb").write_text("f.m ; !\n")
+    (tmp_path / "afile").write_text("")
+    code, _, stderr = invoke(capsys, *(arg.replace("{dir}", str(tmp_path)) for arg in argv))
+    assert code == 1
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("pglblab: cannot ") and target in stderr
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["project", "whatever"])  # --mode is required

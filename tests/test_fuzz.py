@@ -3,13 +3,16 @@ a typed diagnostic, never a traceback.
 
 Limits stay small so no example asks for much time or memory: state
 limits up to 10^4, step limits up to 10^3, `check --depth` up to 4,
-family members up to k=3 and random programs up to 50 instructions.
-`bench` is left out of the draws; it runs whole family members by design.
-Explicit examples run one input per kind of refusal on every run, `bench
---kmax` out of range among them.
+family members up to k=3, random programs up to 50 instructions and
+`bench --kmax` up to 2.  The commands that write files draw where they
+write: the work directory, an existing file, a missing directory and, when
+permissions bind (not as root), a read-only directory.  Explicit examples
+run one input per kind of refusal on every run, `bench --kmax` out of
+range and each kind of unwritable path among them.
 """
 import contextlib
 import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -47,18 +50,36 @@ param_flags = st.tuples(
 ).map(lambda parts: [arg for part in parts for arg in part])
 
 
+#: Where a command writes.  Root writes into a read-only directory, so the
+#: read-only draw needs another user.
+PLACES = ["{dir}", "{dir}/p.pglb", "{dir}/nodir"] + (["{dir}/ro"] if os.geteuid() else [])
+
+
+def out_flag(name, place):
+    """No --out (stdout), or --out to a file `name` in the drawn place."""
+    return st.sampled_from([[], ["--out", f"{place}/{name}"]])
+
+
 @st.composite
 def command_lines(draw):
     """(argv, {file name: text}) for one command."""
     files = {"p.pglb": draw(program_text), "q.pglb": draw(program_text)}
-    command = draw(st.sampled_from(["run", "mid", "project", "check", "family", "random"]))
+    command = draw(
+        st.sampled_from(["run", "mid", "project", "check", "family", "random", "bench"])
+    )
+    place = draw(st.sampled_from(PLACES))
     if command == "family":
-        return ["gen", "family", "--k", str(draw(st.integers(-1, 3)))], files
+        argv = ["gen", "family", "--k", str(draw(st.integers(-1, 3)))]
+        return argv + draw(out_flag("x.pglb", place)), files
     if command == "random":
         argv = ["gen", "random", "--seed", str(draw(st.integers(-5, 5)))]
         argv += ["--len", str(draw(st.integers(-1, 50)))]
         argv += draw(flag("--maxr", st.integers(0, 3))) + draw(flag("--maxn", st.integers(0, 5)))
-        return argv, files
+        return argv + draw(out_flag("x.pglb", place)), files
+    if command == "bench":
+        argv = ["bench", "--kmax", str(draw(st.integers(1, 2)))]
+        argv += draw(st.sampled_from([[], ["--md"], ["--json"]]))
+        return argv + draw(out_flag("b.csv", place)), files
     argv = [command, "{dir}/p.pglb"] + draw(param_flags)
     if command == "run":
         argv += draw(flag("--steps", st.integers(-1, 1_000)))
@@ -67,7 +88,7 @@ def command_lines(draw):
             files["oracle.txt"] = draw(st.sampled_from(["T\nF\nT\n", "", "X\n"]))
             argv += ["--oracle", oracle]
     elif command == "project":
-        argv += ["--mode", draw(st.sampled_from(["specialize", "dispatch"])), "--out-dir", "{dir}"]
+        argv += ["--mode", draw(st.sampled_from(["specialize", "dispatch"])), "--out-dir", place]
         argv += draw(st.sampled_from([[], ["--thread"]]))
     elif command == "check":
         argv += ["{dir}/q.pglb", "--depth", str(draw(st.integers(0, 4)))]
@@ -97,12 +118,16 @@ def refusal(text, *argv):
 @example(case=(["gen", "family", "--k", "40"], {}))
 @example(case=(["gen", "random", "--seed", "1", "--len", "0"], {}))
 @example(case=(["bench", "--kmax", "9"], {}))
+@refusal("!", "project", "--mode", "dispatch", "--out-dir", "{dir}/p.pglb")
+@example(case=(["gen", "family", "--k", "1", "--out", "{dir}/nodir/x.pglb"], {}))
+@example(case=(["bench", "--kmax", "1", "--md", "--out", "{dir}/nodir/b.csv"], {}))
 def test_random_command_lines_end_in_a_result_or_a_diagnostic(case):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         for name, text in files.items():
             (directory / name).write_text(text)
+        (directory / "ro").mkdir(mode=0o555)
         argv = [arg.replace("{dir}", tmp) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

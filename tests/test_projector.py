@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import pytest
@@ -296,6 +297,41 @@ def test_projection_rejects_invalid_programs():
 # --- jump threading ---
 
 
+def reference_thread_jumps(p):
+    """`thread_jumps` as one walk per jump, each with its own visited set:
+    quadratic in the chain length, kept as the reference."""
+    src = p.instructions
+    length = len(src)
+    out = list(src)
+    for pos in range(1, length + 1):
+        u = src[pos - 1]
+        if not isinstance(u, (FwdJump, BwdJump)):
+            continue
+        if u.distance == 0:
+            continue
+        target = pos + u.distance if isinstance(u, FwdJump) else pos - u.distance
+        if target < 1 or target > length:
+            continue
+        visited = {pos}
+        cur = target
+        cyclic = False
+        while isinstance(v := src[cur - 1], (FwdJump, BwdJump)):
+            if cur in visited:
+                cyclic = True
+                break
+            visited.add(cur)
+            if v.distance == 0:
+                break
+            nxt = cur + v.distance if isinstance(v, FwdJump) else cur - v.distance
+            if nxt < 1 or nxt > length:
+                break
+            cur = nxt
+        if cyclic or cur == target:
+            continue
+        out[pos - 1] = FwdJump(cur - pos) if cur > pos else BwdJump(pos - cur)
+    return Program(tuple(out))
+
+
 def test_thread_jumps_collapses_chains():
     assert render_program(thread_jumps(parse_program("#1 ; #1 ; !"))) == "#2 ; #1 ; !"
 
@@ -383,38 +419,54 @@ def threading_cases():
 
 
 def test_specialize_threads_its_output_as_thread_jumps_does():
+    # Threading specialize's output gives what the per-jump reference walk
+    # gives.
     for p, params in threading_cases():
-        graph = build_state_graph(p, params)
-        report = specialize(graph, thread=True)
-        assert report.threaded == thread_jumps(report.output), str(p)
-        assert specialize(graph).threaded is None
+        output = specialize(build_state_graph(p, params)).output
+        assert thread_jumps(output) == reference_thread_jumps(output), str(p)
+
+
+def test_dispatch_threads_its_output_as_thread_jumps_does():
+    # Threading dispatch's output gives what the per-jump reference walk
+    # gives.
+    for p, params in threading_cases():
+        output = dispatch_project(p, params).output
+        assert thread_jumps(output) == reference_thread_jumps(output), str(p)
+
+
+def test_thread_jumps_matches_the_reference():
+    # Register-free random programs as they are.
+    for seed in range(600):
+        p = gen_random(seed, 1 + seed % 40, P23, weights=PGLB_WEIGHTS)
+        assert thread_jumps(p) == reference_thread_jumps(p), str(p)
+
+
+def test_thread_jumps_is_linear_in_the_chain_length():
+    # Every jump of a 20,000-jump chain lands on the halt.  A walk per jump
+    # takes about a minute here; one walk per position, milliseconds.
+    n = 20_000
+    start = time.perf_counter()
+    threaded = thread_jumps(Program((FwdJump(1),) * n + (Halt(),)))
+    assert time.perf_counter() - start < 10.0
+    lands = tuple(FwdJump(n + 1 - pos) for pos in range(1, n + 1))
+    assert threaded.instructions == lands + (Halt(),)
 
 
 def test_specialize_threading_leaves_jump_cycles_alone():
     # Block 2 (set:1:1 at pc 1, register 0 -> 1) leads into the cycle
     # i#1 <-> \#1 of jump states; a jump into it keeps its target.
-    report = specialize(build_state_graph(parse_program("set:1:1 ; i#1 ; \\#1"), P11), thread=True)
-    assert render_program(report.output) == render_program(report.threaded) == "#1 ; #1 ; \\#1"
+    output = specialize(build_state_graph(parse_program("set:1:1 ; i#1 ; \\#1"), P11)).output
+    assert render_program(output) == render_program(thread_jumps(output)) == "#1 ; #1 ; \\#1"
 
 
 def test_specialize_interns_its_jumps():
-    # One object per (kind, distance) across both emitted programs.
+    # One object per (kind, distance) within the emitted program, and
+    # within its threaded program.
     p, fp = gen_scaling_family(3)
-    report = specialize(build_state_graph(p, fp.tool_params()), thread=True)
-    jumps = [
-        u
-        for program in (report.output, report.threaded)
-        for u in program.instructions
-        if isinstance(u, (FwdJump, BwdJump))
-    ]
-    assert len({id(u) for u in jumps}) == len(set(jumps)) > 1
-
-
-def test_dispatch_threads_its_output_as_thread_jumps_does():
-    for p, params in threading_cases():
-        report = dispatch_project(p, params, thread=True)
-        assert report.threaded == thread_jumps(report.output), str(p)
-        assert dispatch_project(p, params).threaded is None
+    output = specialize(build_state_graph(p, fp.tool_params())).output
+    for program in (output, thread_jumps(output)):
+        jumps = [u for u in program.instructions if isinstance(u, (FwdJump, BwdJump))]
+        assert len({id(u) for u in jumps}) == len(set(jumps)) > 1
 
 
 def test_dispatch_interns_its_cells_and_jumps():
