@@ -10,12 +10,18 @@ The state graph over-approximates runs by treating every test reply as
 nondeterministic — Boolean-cell determinism is deliberately ignored, so the
 analysis needs no service bindings.  `brute_force_mid` is an independent
 run-enumeration oracle over the same reply nondeterminism.
+
+`compute_mid` resolves each state on a chain of single-successor states by
+a memoised walk; only states at or upstream of a branching positive state
+(an aux-marked test) reach its Tarjan SCC pass.
 """
 from __future__ import annotations
 
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import not_
 from typing import Callable, NamedTuple
 
 from .isa import (
@@ -66,41 +72,30 @@ class StateLimitExceeded(PglbError, RuntimeError):
         super().__init__(f"state graph exceeds the configured limit of {limit} nodes")
 
 
-# Successor rules of one program position, decoded once per build: no
-# successor (halt or deadlock), one or two fixed pc steps, a register set,
-# an indirect jump.
+# Successor rules: no successor (halt or deadlock), a fixed pc step whose
+# target is checked per state, a test's two branches, a register set, an
+# indirect jump.
 _STOP, _STEP, _TEST, _SET, _IND = range(5)
 _NO_SUCCESSOR = (_STOP, 0, 0)
+_NEXT = (_STEP, 1, 0)
+#: The rules that depend on the instruction kind alone.
+_KIND_RULE = {Plain: _NEXT, PosTest: (_TEST, 1, 2), NegTest: (_TEST, 2, 1), Halt: _NO_SUCCESSOR}
 
 
-def _decode_test(pos: int, length: int, on_true: int, on_false: int):
-    # The pc+2 branch needs pc+2 in the program, the pc+1 branch pc+1.
-    if pos + 2 <= length:
-        return (_TEST, on_true, on_false)
-    return (_STEP, 1, 0) if pos < length else _NO_SUCCESSOR
-
-
-#: type(u) -> (u, pos, length, place) -> (rule, a, b): the successors of
-#: position `pos` as state-code deltas, or the register place value and
-#: operand for _SET/_IND.  `place(i)` is register i's place value in the
-#: state code.  An outcome that deadlocks is dropped.
-_DECODERS = {
-    Halt: lambda u, pos, length, place: _NO_SUCCESSOR,
-    Plain: lambda u, pos, length, place: (_STEP, 1, 0) if pos < length else _NO_SUCCESSOR,
-    PosTest: lambda u, pos, length, place: _decode_test(pos, length, 1, 2),
-    NegTest: lambda u, pos, length, place: _decode_test(pos, length, 2, 1),
-    FwdJump: lambda u, pos, length, place: (
-        (_STEP, u.distance, 0) if 0 < u.distance <= length - pos else _NO_SUCCESSOR
-    ),
-    BwdJump: lambda u, pos, length, place: (
-        (_STEP, -u.distance, 0) if 0 < u.distance < pos else _NO_SUCCESSOR
-    ),
-    RegSet: lambda u, pos, length, place: (
-        (_SET, place(u.register), u.value) if pos < length else _NO_SUCCESSOR
-    ),
-    IndFwdJump: lambda u, pos, length, place: (_IND, place(u.register), 1),
-    IndBwdJump: lambda u, pos, length, place: (_IND, place(u.register), -1),
-}
+def _rule(u: Instruction, base: int, radix: int) -> tuple:
+    """The successor rule of `u`: the state-code delta of each successor, or
+    the register's place value and the operand for _SET/_IND."""
+    kind = type(u)
+    rule = _KIND_RULE.get(kind)
+    if rule is not None:
+        return rule
+    if kind is FwdJump or kind is BwdJump:
+        d = u.distance if kind is FwdJump else -u.distance
+        return (_STEP, d, 0) if d else _NO_SUCCESSOR
+    place = base * radix ** (u.register - 1)
+    if kind is RegSet:
+        return (_SET, place, u.value)
+    return (_IND, place, 1 if kind is IndFwdJump else -1)
 
 
 @dataclass
@@ -159,21 +154,30 @@ class StateGraph:
 
 def build_state_graph(p: Program, params: ToolParams) -> StateGraph:
     require_valid(p, params)
-    length = len(p)
+    ins = p.instructions
+    length = len(ins)
     base = length + 1
     radix = params.maxn + 1
-    limit = params.state_limit
 
-    def place(register: int) -> int:
-        return base * radix ** (register - 1)
-
+    # Each distinct instruction object is decoded once, into one rule tuple
+    # that all its positions share.
+    decoded: dict[int, tuple] = {}
+    known, keep = decoded.get, decoded.setdefault
     rules = [_NO_SUCCESSOR] + [
-        _DECODERS[type(u)](u, pos, length, place) for pos, u in enumerate(p.instructions, 1)
+        rule if (rule := known(id(u))) is not None else keep(id(u), _rule(u, base, radix))
+        for u in ins
     ]
-
+    # An outcome past the last position deadlocks: a test at length - 1
+    # keeps only its pc+1 branch, and a test or a register set at `length`
+    # has no successor.  _STEP targets are checked per state.
+    if length > 1 and rules[length - 1][0] == _TEST:
+        rules[length - 1] = _NEXT
+    if rules[length][0] in (_TEST, _SET):
+        rules[length] = _NO_SUCCESSOR
+    limit = params.state_limit
     codes = [1]  # pc 1, all registers 0
-    ids = {1: 0}
-    ids_get = ids.get
+    claim = {1: 0}.setdefault  # code -> id, the next id for a new code
+    size, edges = 1, 0
     add_code = codes.append
     offsets = array("l", [0])
     add_offset = offsets.append
@@ -183,16 +187,17 @@ def build_state_graph(p: Program, params: ToolParams) -> StateGraph:
         pc = code % base
         r, a, b = rules[pc]
         if r == _STEP:
-            t = code + a
+            t = code + a if 0 < pc + a <= length else None
         elif r == _TEST:
             t = code + a  # the first branch here, the second below
-            j = ids_get(t)
-            if j is None:
-                j = ids[t] = len(codes)
-                if j >= limit:
+            j = claim(t, size)
+            if j == size:
+                if size >= limit:
                     raise StateLimitExceeded(limit)
+                size += 1
                 add_code(t)
             push(j)
+            edges += 1
             t = code + b
         elif r == _SET:
             t = code + (b - code // a % radix) * a + 1
@@ -202,14 +207,15 @@ def build_state_graph(p: Program, params: ToolParams) -> StateGraph:
         else:
             t = None
         if t is not None:
-            j = ids_get(t)
-            if j is None:
-                j = ids[t] = len(codes)
-                if j >= limit:
+            j = claim(t, size)
+            if j == size:
+                if size >= limit:
                     raise StateLimitExceeded(limit)
+                size += 1
                 add_code(t)
             push(j)
-        add_offset(len(targets))
+            edges += 1
+        add_offset(edges)
     return StateGraph(p, params.maxr, radix, codes, offsets, targets)
 
 
@@ -237,44 +243,98 @@ class MidResult:
         return "unbounded" if self.value is None else str(self.value)
 
 
+#: `best_from` marks below -1 (does not close): a state the chain walk has
+#: not reached, one on the walk in progress, one it leaves to the SCC pass.
+_UNSEEN, _ON_WALK, _OPEN = -4, -3, -2
+
+
 def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
-    """MID by one iterative Tarjan SCC pass over the from-anchor region.
+    """MID by a chain walk, then one Tarjan SCC pass over what it leaves.
 
     The region is every positive-weight state reachable from an anchor
     through positive-weight states.  A region state *closes* when it can
     reach an anchor inside the region; closing states are the interiors
-    of run segments.  Tarjan (1972) finishes SCCs in reverse topological
-    order, so each finished SCC sees its successors' results already set:
+    of run segments, and each takes its longest interior weight to an
+    anchor (the segment DP), the first maximum over successors in edge
+    order.
 
-    * a non-trivial closing SCC is a positive cycle with anchors on both
-      sides, so MID is unbounded;
-    * a single state gets its longest interior weight to an anchor (the
-      segment DP), the first maximum over successors in edge order.
+    The walk resolves each positive state whose chain of single-successor
+    states ends at an anchor, a dead end or a cycle (the last two do not
+    close).  The rest are at or upstream of a positive state with two
+    successors, which only an aux-marked test makes, and one iterative
+    Tarjan (1972) SCC pass from the anchors covers them.  It finishes SCCs
+    in reverse topological order, so each sees its successors' results:
+    a non-trivial closing SCC is a positive cycle with anchors on both
+    sides, so MID is unbounded; a single state gets the segment DP.
     """
-    base = len(graph.program) + 1
-    wpc = [0] + [id_weight(u, aux) for u in graph.program.instructions]
+    # Each distinct instruction object is weighed once.
+    weights: dict[int, int] = {}
+    known, weigh = weights.get, weights.setdefault
+    wpc = [0] + [
+        weight if (weight := known(id(u))) is not None else weigh(id(u), id_weight(u, aux))
+        for u in graph.program.instructions
+    ]
+    base = len(wpc)
     w = [wpc[c % base] for c in graph.codes]
     offsets, targets = graph.offsets, graph.targets
     node = graph.decoder()
 
-    anchors = [i for i, x in enumerate(w) if not x]
-    if not anchors:
+    n = len(w)
+    if 0 not in w:
         return MidResult(0, ())
 
-    n = len(w)
-    done = n + 1  # `low` of a state whose SCC is finished
-    index = [0] * n  # DFS number, 0 = unvisited
-    low = [0] * n
-    best_from = [-1] * n  # segment DP; -1 = does not close
-    best_next = [-1] * n
+    def anchors():
+        # The zero-weight states in id order, afresh for each pass over them.
+        return compress(range(n), map(not_, w))
+
+    # Segment DP: an anchor is 0, a closing state its weight to an anchor,
+    # -1 a state that does not close.
+    best_from = [_UNSEEN if x else 0 for x in w]
+    # Latest states first: BFS order puts most successors after their
+    # predecessors, so most positive states find theirs resolved.
+    open_states = False
+    for v in range(n - 1, -1, -1):
+        if best_from[v] != _UNSEEN:
+            continue
+        o = offsets[v]
+        if offsets[v + 1] - o == 1 and best_from[targets[o]] >= 0:
+            best_from[v] = w[v] + best_from[targets[o]]
+            continue
+        # Walk the chain to the first state that is not unseen, then set
+        # the states walked, last first.
+        chain = []
+        j = v
+        while (b := best_from[j]) == _UNSEEN:
+            o = offsets[j]
+            e = offsets[j + 1]
+            if e - o != 1:
+                b = best_from[j] = _OPEN if e > o else -1
+                break
+            best_from[j] = _ON_WALK
+            chain.append(j)
+            j = targets[o]
+        if b >= 0:
+            for x in reversed(chain):
+                b = best_from[x] = b + w[x]
+        else:
+            # A dead end, a single-successor cycle, or a state left open.
+            b = -1 if b == _ON_WALK else b
+            for x in chain:
+                best_from[x] = b
+            open_states = open_states or b == _OPEN
+
+    # The SCC pass: only states the walk left open take part, so it visits
+    # none when nothing is open.
+    index = [0] * n if open_states else []  # DFS number, 0 = unvisited
+    low = index[:]
+    best_next: dict[int, int] = {}  # the DP's choice at an open state
     counter = 0
     stack: list[int] = []
     canonical = n  # lowest state in a non-trivial closing SCC
     canonical_scc: list[int] = []
-
-    for a in anchors:
+    for a in anchors() if open_states else ():
         for root in targets[offsets[a]:offsets[a + 1]]:
-            if not w[root] or index[root]:
+            if best_from[root] != _OPEN or index[root]:
                 continue
             counter += 1
             index[root] = low[root] = counter
@@ -286,7 +346,8 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
                 while i < end:
                     t = targets[i]
                     i += 1
-                    if not w[t]:
+                    # Only open states take part; the rest are final.
+                    if best_from[t] != _OPEN:
                         continue
                     if not index[t]:
                         work[-1] = (v, i)
@@ -305,15 +366,12 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
                         # acyclic and takes the segment DP.
                         if stack[-1] == v:
                             stack.pop()
-                            low[v] = done
                             best = chosen = -1
                             for t in targets[offsets[v]:end]:
-                                cand = best_from[t] if w[t] else 0
-                                if cand > best:
-                                    best, chosen = cand, t
-                            if best >= 0:
-                                best_from[v] = w[v] + best
-                                best_next[v] = chosen
+                                if best_from[t] > best:
+                                    best, chosen = best_from[t], t
+                            best_from[v] = w[v] + best if best >= 0 else -1
+                            best_next[v] = chosen
                         else:
                             pos = len(stack) - 1
                             while stack[pos] != v:
@@ -321,18 +379,15 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
                             scc = stack[pos:]
                             del stack[pos:]
                             # A cycle: MID is unbounded if it closes.
-                            for x in scc:
-                                low[x] = done
                             closes = any(
-                                not w[t] or best_from[t] > 0
+                                best_from[t] >= 0
                                 for x in scc
                                 for t in targets[offsets[x]:offsets[x + 1]]
                             )
-                            if closes:
-                                for x in scc:
-                                    best_from[x] = 1
-                                if min(scc) < canonical:
-                                    canonical, canonical_scc = min(scc), scc
+                            for x in scc:
+                                best_from[x] = 1 if closes else -1
+                            if closes and min(scc) < canonical:
+                                canonical, canonical_scc = min(scc), scc
                     if work:
                         u = work[-1][0]
                         if low[v] < low[u]:
@@ -347,7 +402,7 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
         c0 = canonical
         succ = graph.successors
         cycle = _bfs_path(succ, [c0], c0.__eq__, set(canonical_scc).__contains__)[:-1]
-        stem = _bfs_path(succ, anchors, c0.__eq__, w.__getitem__)
+        stem = _bfs_path(succ, list(anchors()), c0.__eq__, w.__getitem__)
         exit_path = _bfs_path(succ, [c0], lambda t: not w[t], lambda t: best_from[t] > 0)
         return MidResult(
             None,
@@ -357,19 +412,24 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
             exit_path=decode(exit_path),
         )
 
+    # The first maximum over the anchors' successors.  No value exceeds
+    # the largest of all, so the scan stops once it meets that.
+    top = max(best_from)
     mid = 0
     arg = None
-    for a in anchors:
+    for a in anchors():
+        if mid == top:
+            break
         for s in targets[offsets[a]:offsets[a + 1]]:
             if best_from[s] > mid:
                 mid = best_from[s]
                 arg = (a, s)
     if arg is None:
-        witness = decode(anchors[:1])
+        witness = decode([w.index(0)])
     else:
         chain = list(arg)
-        while w[chain[-1]]:
-            chain.append(best_next[chain[-1]])
+        while w[x := chain[-1]]:
+            chain.append(best_next.get(x, targets[offsets[x]]))
         witness = decode(chain)
     return MidResult(mid, witness)
 

@@ -279,10 +279,14 @@ def _write_program(out: str | None, p: Program, params: ToolParams) -> None:
         sys.stdout.write(text)
         return
     path = Path(out)
+    sidecar = path.with_suffix(".cfg")
+    if sidecar == path:
+        # The sidecar would overwrite the program it describes.
+        raise CLIError(f"cannot write {path}: it is the path of its own .cfg sidecar")
     _write(path, text)
     print(f"wrote {path}")
-    _write(path.with_suffix(".cfg"), _params_config_text(params, None))
-    print(f"wrote {path.with_suffix('.cfg')}")
+    _write(sidecar, _params_config_text(params, None))
+    print(f"wrote {sidecar}")
 
 
 def _cmd_gen(args) -> int:

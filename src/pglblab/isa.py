@@ -144,7 +144,7 @@ Instruction = Union[
 ]
 
 #: Instruction kinds that are part of the register-free PGLB fragment.
-_PGLB_KINDS = (Plain, PosTest, NegTest, FwdJump, BwdJump, Halt)
+_PGLB_KINDS = frozenset((Plain, PosTest, NegTest, FwdJump, BwdJump, Halt))
 
 
 def basic_of(u: Instruction) -> BasicInstruction | None:
@@ -255,21 +255,26 @@ def _parse_instruction(body: str) -> Instruction:
 def parse_program(text: str) -> Program:
     """Parse program text (UTF-8, '//' line comments) into a Program.
 
-    Each distinct instruction text is parsed once, and its occurrences
-    share one instruction object.  Bodies are parsed in order of first
-    occurrence, so the first one that fails is also the first failing
-    instruction in the text.
+    Each distinct chunk of text is stripped once and each distinct
+    instruction text parsed once, and the occurrences of a text share one
+    instruction object.  Chunks are taken in order of first occurrence,
+    so the first one that fails is also the first failing instruction in
+    the text.
     """
     stripped = _strip_comments(text)
     chunks = stripped.split(";")
-    bodies = [chunk.strip() for chunk in chunks]
     built: dict[str, Instruction] = {}
-    for body in dict.fromkeys(bodies):
-        try:
-            built[body] = _parse_instruction(body)
-        except ValueError as exc:
-            raise _located(str(exc), stripped, chunks, bodies.index(body), body) from None
-    return Program(tuple(map(built.__getitem__, bodies)))
+    of_chunk: dict[str, Instruction] = {}
+    for chunk in dict.fromkeys(chunks):
+        body = chunk.strip()
+        u = built.get(body)
+        if u is None:
+            try:
+                u = built[body] = _parse_instruction(body)
+            except ValueError as exc:
+                raise _located(str(exc), stripped, chunks, chunks.index(chunk), body) from None
+        of_chunk[chunk] = u
+    return Program(tuple(map(of_chunk.__getitem__, chunks)))
 
 
 def _located(message: str, stripped: str, chunks: list[str], index: int, body: str) -> ParseError:
@@ -374,8 +379,11 @@ _AUTO_CELL_FOCUS = re.compile(r"bool[0-9]+")
 #: The methods a Boolean cell serves.
 CELL_METHODS = frozenset(("set:T", "set:F", "get"))
 
-#: Instruction kinds that carry a basic instruction.
+#: Instruction kinds that carry a basic instruction, a register index, and
+#: either.
 _WITH_BASIC = frozenset((Plain, PosTest, NegTest))
+_WITH_REGISTER = frozenset((RegSet, IndFwdJump, IndBwdJump))
+_WITH_OPERAND = _WITH_BASIC | _WITH_REGISTER
 
 
 def bound_cell_foci(p: Program, params: ToolParams) -> frozenset[str]:
@@ -393,21 +401,28 @@ def validate(p: Program, params: ToolParams) -> list[Diagnostic]:
     [1, maxn], and a focus bound to a Boolean cell takes only the methods
     in CELL_METHODS.  Jump targets are deliberately not checked:
     out-of-range jumps are legal programs that deadlock at run time.
+    Each instruction object is checked once; positions are walked only to
+    place the diagnostics of a bad one.
     """
     maxr, maxn, cells = params.maxr, params.maxn, bound_cell_foci(p, params)
-    out: list[Diagnostic] = []
-    for pos, u in enumerate(p.instructions, 1):
+    checked = _WITH_OPERAND if cells else _WITH_REGISTER
+    faults: dict[int, list[str]] = {}
+    for key, u in {id(u): u for u in p.instructions if type(u) in checked}.items():
         kind = type(u)
-        if kind is RegSet or kind is IndFwdJump or kind is IndBwdJump:
+        if kind in _WITH_REGISTER:
             if kind is RegSet and u.value > maxn:
-                out.append(Diagnostic(pos, f"register literal {u.value} exceeds maxn={maxn}"))
+                faults[key] = [f"register literal {u.value} exceeds maxn={maxn}"]
             if u.register > maxr:
-                out.append(Diagnostic(pos, f"register index {u.register} exceeds maxr={maxr}"))
-        elif cells and kind in _WITH_BASIC:
-            b = u.basic
-            if b.focus in cells and b.method not in CELL_METHODS:
-                out.append(Diagnostic(pos, f"unknown method {b.method} on Boolean cell {b.focus}"))
-    return out
+                faults.setdefault(key, []).append(f"register index {u.register} exceeds maxr={maxr}")
+        elif u.basic.focus in cells and u.basic.method not in CELL_METHODS:
+            faults[key] = [f"unknown method {u.basic.method} on Boolean cell {u.basic.focus}"]
+    if not faults:
+        return []
+    return [
+        Diagnostic(pos, message)
+        for pos, key in enumerate(map(id, p.instructions), 1)
+        for message in faults.get(key, ())
+    ]
 
 
 class InvalidProgram(PglbError, ValueError):
@@ -428,4 +443,4 @@ def require_valid(p: Program, params: ToolParams) -> None:
 
 def is_pglb(p: Program) -> bool:
     """True iff the program avoids register and indirect-jump instructions."""
-    return all(isinstance(u, _PGLB_KINDS) for u in p.instructions)
+    return _PGLB_KINDS.issuperset(map(type, p.instructions))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from typing import Callable
 
 from .analyzer import MidResult, StateGraph
@@ -153,44 +153,42 @@ def specialize(graph: StateGraph) -> ProjectionReport:
     states are emitted.
     """
     p = graph.program
-    ins = p.instructions
     pcs = graph.pcs()
     offsets, targets = graph.offsets, graph.targets
-    block_size = [0] + [_BLOCK_SIZE.get(type(u), 1) for u in ins]
+    block_size = [0] + [_BLOCK_SIZE.get(type(u), 1) for u in p.instructions]
     sizes = list(map(block_size.__getitem__, pcs))
     starts = list(accumulate(sizes, initial=1))
     jump = _Jumps()
     out: list[Instruction] = []
     add = out.append
-    for pc, at, o, e in zip(pcs, starts, offsets, islice(offsets, 1, None)):
-        u = ins[pc - 1]
-        kind = type(u)
+    at_pc = (None,) + p.instructions
+    for u, at, o, e in zip(map(at_pc.__getitem__, pcs), starts, offsets, islice(offsets, 1, None)):
         # A block is a copied head, if any, then one jump per successor
-        # slot; a slot holds the successor state, or None when its outcome
-        # deadlocks.
+        # slot to the successor state's block, or '#0' when the slot's
+        # outcome deadlocks.
+        kind = type(u)
         if kind in _JUMP_KINDS:
             # Direct jumps keep their role; register sets and indirect
             # jumps resolve against the state and become direct jumps.
-            slots = (targets[o],) if o < e else (None,)
-        else:
-            add(u)
-            at += 1
-            if kind is Plain:
-                slots = (targets[o],) if o < e else (None,)
-            elif kind is Halt:
-                continue
-            elif e - o == 2:
+            add(jump[starts[targets[o]] - at] if o < e else _DEADLOCK)
+            continue
+        add(u)
+        if kind is Plain:
+            add(jump[starts[targets[o]] - at - 1] if o < e else _DEADLOCK)
+        elif kind is not Halt:
+            if e - o == 2:
                 # The graph lists on-true before on-false.  The copied test
                 # proceeds to the first slot on the reply that sends the
                 # source to pc+1 and skips to the second on the other.
                 first, second = targets[o], targets[o + 1]
-                slots = (first, second) if kind is PosTest else (second, first)
+                if kind is NegTest:
+                    first, second = second, first
+                add(jump[starts[first] - at - 1])
+                add(jump[starts[second] - at - 2])
             else:
                 # Only the pc+1 outcome, if any, stays in the program.
-                slots = (targets[o], None) if o < e else (None, None)
-        for t in slots:
-            add(_DEADLOCK if t is None else jump[starts[t] - at])
-            at += 1
+                add(jump[starts[targets[o]] - at - 1] if o < e else _DEADLOCK)
+                add(_DEADLOCK)
 
     node = graph.decoder()
     base = len(p) + 1
@@ -342,13 +340,19 @@ def thread_jumps(p: Program) -> Program:
     # keys the other instructions.
     jump = _Jumps(zip(islice(dist, 1, None), src))
     jump.pop(0, None)
-    # The position where the chain through each position ends; -1 marks a
-    # chain that enters a cycle, 0 a position not yet resolved.
-    end = [0] * (length + 1)
+    # The position where the chain through each position ends: a non-jump
+    # ends its own, -1 marks a chain that enters a cycle, 0 a jump not yet
+    # resolved.
+    end = [0 if d else pos for pos, d in enumerate(dist)]
     out = list(src)
-    for pos in range(1, length + 1):
+    # Latest positions first, so a forward jump mostly finds its target
+    # resolved.
+    for pos in compress(range(length, 0, -1), reversed(dist)):
         d = dist[pos]
-        if not d:
+        t = pos + d
+        if 1 <= t <= length and end[t] > 0:
+            e = end[pos] = end[t]
+            out[pos - 1] = jump[e - pos]
             continue
         # Walk to the first resolved position.  The walk is marked cyclic
         # as it goes: meeting it again closes a cycle, which every position
@@ -356,7 +360,7 @@ def thread_jumps(p: Program) -> Program:
         j = pos
         while not end[j]:
             t = j + dist[j]
-            if t == j or not 1 <= t <= length:
+            if not 1 <= t <= length:
                 end[j] = j
                 break
             end[j] = -1

@@ -1,0 +1,285 @@
+"""Independent reference implementations the tests compare the package with.
+
+`tarjan_mid` is `compute_mid` as it was before the chain walk: one iterative
+Tarjan SCC pass over the whole from-anchor region, with the weights decoded
+once per program position.  `reference_state_graph` is `build_state_graph`
+as it was before the rules were decoded once per instruction object: one
+decoder call per program position.  Both are kept unchanged as the
+references of the differential tests.
+"""
+from __future__ import annotations
+
+from array import array
+from collections import deque
+
+from pglblab.analyzer import (
+    AuxPredicate,
+    MidResult,
+    StateGraph,
+    StateLimitExceeded,
+    StateNode,
+    id_weight,
+)
+from pglblab.isa import (
+    BwdJump,
+    FwdJump,
+    Halt,
+    IndBwdJump,
+    IndFwdJump,
+    NegTest,
+    Plain,
+    PosTest,
+    Program,
+    RegSet,
+    ToolParams,
+    require_valid,
+)
+
+
+# Successor rules of one program position, decoded once per build: no
+# successor (halt or deadlock), one or two fixed pc steps, a register set,
+# an indirect jump.
+_STOP, _STEP, _TEST, _SET, _IND = range(5)
+_NO_SUCCESSOR = (_STOP, 0, 0)
+
+
+def _decode_test(pos: int, length: int, on_true: int, on_false: int):
+    # The pc+2 branch needs pc+2 in the program, the pc+1 branch pc+1.
+    if pos + 2 <= length:
+        return (_TEST, on_true, on_false)
+    return (_STEP, 1, 0) if pos < length else _NO_SUCCESSOR
+
+
+#: type(u) -> (u, pos, length, place) -> (rule, a, b): the successors of
+#: position `pos` as state-code deltas, or the register place value and
+#: operand for _SET/_IND.  `place(i)` is register i's place value in the
+#: state code.  An outcome that deadlocks is dropped.
+_DECODERS = {
+    Halt: lambda u, pos, length, place: _NO_SUCCESSOR,
+    Plain: lambda u, pos, length, place: (_STEP, 1, 0) if pos < length else _NO_SUCCESSOR,
+    PosTest: lambda u, pos, length, place: _decode_test(pos, length, 1, 2),
+    NegTest: lambda u, pos, length, place: _decode_test(pos, length, 2, 1),
+    FwdJump: lambda u, pos, length, place: (
+        (_STEP, u.distance, 0) if 0 < u.distance <= length - pos else _NO_SUCCESSOR
+    ),
+    BwdJump: lambda u, pos, length, place: (
+        (_STEP, -u.distance, 0) if 0 < u.distance < pos else _NO_SUCCESSOR
+    ),
+    RegSet: lambda u, pos, length, place: (
+        (_SET, place(u.register), u.value) if pos < length else _NO_SUCCESSOR
+    ),
+    IndFwdJump: lambda u, pos, length, place: (_IND, place(u.register), 1),
+    IndBwdJump: lambda u, pos, length, place: (_IND, place(u.register), -1),
+}
+
+
+def reference_state_graph(p: Program, params: ToolParams) -> StateGraph:
+    require_valid(p, params)
+    length = len(p)
+    base = length + 1
+    radix = params.maxn + 1
+    limit = params.state_limit
+
+    def place(register: int) -> int:
+        return base * radix ** (register - 1)
+
+    rules = [_NO_SUCCESSOR] + [
+        _DECODERS[type(u)](u, pos, length, place) for pos, u in enumerate(p.instructions, 1)
+    ]
+
+    codes = [1]  # pc 1, all registers 0
+    ids = {1: 0}
+    ids_get = ids.get
+    add_code = codes.append
+    offsets = array("l", [0])
+    add_offset = offsets.append
+    targets = array("l")
+    push = targets.append
+    for code in codes:  # grows while iterated: a FIFO in discovery order
+        pc = code % base
+        r, a, b = rules[pc]
+        if r == _STEP:
+            t = code + a
+        elif r == _TEST:
+            t = code + a  # the first branch here, the second below
+            j = ids_get(t)
+            if j is None:
+                j = ids[t] = len(codes)
+                if j >= limit:
+                    raise StateLimitExceeded(limit)
+                add_code(t)
+            push(j)
+            t = code + b
+        elif r == _SET:
+            t = code + (b - code // a % radix) * a + 1
+        elif r == _IND:
+            d = code // a % radix * b
+            t = code + d if d and 1 <= pc + d <= length else None
+        else:
+            t = None
+        if t is not None:
+            j = ids_get(t)
+            if j is None:
+                j = ids[t] = len(codes)
+                if j >= limit:
+                    raise StateLimitExceeded(limit)
+                add_code(t)
+            push(j)
+        add_offset(len(targets))
+    return StateGraph(p, params.maxr, radix, codes, offsets, targets)
+
+
+def tarjan_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
+    """MID by one iterative Tarjan SCC pass over the from-anchor region.
+
+    The region is every positive-weight state reachable from an anchor
+    through positive-weight states.  A region state *closes* when it can
+    reach an anchor inside the region; closing states are the interiors
+    of run segments.  Tarjan (1972) finishes SCCs in reverse topological
+    order, so each finished SCC sees its successors' results already set:
+
+    * a non-trivial closing SCC is a positive cycle with anchors on both
+      sides, so MID is unbounded;
+    * a single state gets its longest interior weight to an anchor (the
+      segment DP), the first maximum over successors in edge order.
+    """
+    base = len(graph.program) + 1
+    wpc = [0] + [id_weight(u, aux) for u in graph.program.instructions]
+    w = [wpc[c % base] for c in graph.codes]
+    offsets, targets = graph.offsets, graph.targets
+    node = graph.decoder()
+
+    anchors = [i for i, x in enumerate(w) if not x]
+    if not anchors:
+        return MidResult(0, ())
+
+    n = len(w)
+    done = n + 1  # `low` of a state whose SCC is finished
+    index = [0] * n  # DFS number, 0 = unvisited
+    low = [0] * n
+    best_from = [-1] * n  # segment DP; -1 = does not close
+    best_next = [-1] * n
+    counter = 0
+    stack: list[int] = []
+    canonical = n  # lowest state in a non-trivial closing SCC
+    canonical_scc: list[int] = []
+
+    for a in anchors:
+        for root in targets[offsets[a]:offsets[a + 1]]:
+            if not w[root] or index[root]:
+                continue
+            counter += 1
+            index[root] = low[root] = counter
+            stack.append(root)
+            work = [(root, offsets[root])]
+            while work:
+                v, i = work[-1]
+                end = offsets[v + 1]
+                while i < end:
+                    t = targets[i]
+                    i += 1
+                    if not w[t]:
+                        continue
+                    if not index[t]:
+                        work[-1] = (v, i)
+                        counter += 1
+                        index[t] = low[t] = counter
+                        stack.append(t)
+                        work.append((t, offsets[t]))
+                        break
+                    if low[t] < low[v]:
+                        low[v] = low[t]
+                else:
+                    work.pop()
+                    if low[v] == index[v]:
+                        # v roots an SCC.  Every rule moves the pc, so
+                        # a state never succeeds itself: a lone state is
+                        # acyclic and takes the segment DP.
+                        if stack[-1] == v:
+                            stack.pop()
+                            low[v] = done
+                            best = chosen = -1
+                            for t in targets[offsets[v]:end]:
+                                cand = best_from[t] if w[t] else 0
+                                if cand > best:
+                                    best, chosen = cand, t
+                            if best >= 0:
+                                best_from[v] = w[v] + best
+                                best_next[v] = chosen
+                        else:
+                            pos = len(stack) - 1
+                            while stack[pos] != v:
+                                pos -= 1
+                            scc = stack[pos:]
+                            del stack[pos:]
+                            # A cycle: MID is unbounded if it closes.
+                            for x in scc:
+                                low[x] = done
+                            closes = any(
+                                not w[t] or best_from[t] > 0
+                                for x in scc
+                                for t in targets[offsets[x]:offsets[x + 1]]
+                            )
+                            if closes:
+                                for x in scc:
+                                    best_from[x] = 1
+                                if min(scc) < canonical:
+                                    canonical, canonical_scc = min(scc), scc
+                    if work:
+                        u = work[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+
+    def decode(ids) -> tuple[StateNode, ...]:
+        return tuple(node(i) for i in ids)
+
+    if canonical_scc:
+        # The shortest cycle through c0, a stem to it from the anchors as
+        # their region BFS first reaches it, and the shortest exit.
+        c0 = canonical
+        succ = graph.successors
+        cycle = _bfs_path(succ, [c0], c0.__eq__, set(canonical_scc).__contains__)[:-1]
+        stem = _bfs_path(succ, anchors, c0.__eq__, w.__getitem__)
+        exit_path = _bfs_path(succ, [c0], lambda t: not w[t], lambda t: best_from[t] > 0)
+        return MidResult(
+            None,
+            decode(stem + cycle[1:] + [c0] + exit_path[1:]),
+            stem=decode(stem),
+            cycle=decode(cycle),
+            exit_path=decode(exit_path),
+        )
+
+    mid = 0
+    arg = None
+    for a in anchors:
+        for s in targets[offsets[a]:offsets[a + 1]]:
+            if best_from[s] > mid:
+                mid = best_from[s]
+                arg = (a, s)
+    if arg is None:
+        witness = decode(anchors[:1])
+    else:
+        chain = list(arg)
+        while w[chain[-1]]:
+            chain.append(best_next[chain[-1]])
+        witness = decode(chain)
+    return MidResult(mid, witness)
+
+
+def _bfs_path(succ, sources, goal, allowed) -> list[int]:
+    """Shortest path from a source through `allowed` states to the first
+    `goal` state found, by BFS from the sources in order, edges in order."""
+    prev = dict.fromkeys(sources)
+    queue = deque(sources)
+    while queue:
+        v = queue.popleft()
+        for t in succ(v):
+            if goal(t):
+                path = [t, v]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            if allowed(t) and t not in prev:
+                prev[t] = v
+                queue.append(t)
+    raise AssertionError("no path to a goal state")

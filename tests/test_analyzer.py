@@ -1,6 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import reference_state_graph, tarjan_mid
+from test_projector import service_loop
 
+import pglblab.analyzer as analyzer
 from pglblab.analyzer import (
     StateLimitExceeded,
     StateNode,
@@ -8,9 +11,10 @@ from pglblab.analyzer import (
     build_state_graph,
     compute_mid,
     id_weight,
+    program_mid,
     replay_segment,
 )
-from pglblab.family import gen_random
+from pglblab.family import gen_random, gen_scaling_family
 from pglblab.isa import (
     AuxSpec,
     BasicInstruction,
@@ -20,6 +24,7 @@ from pglblab.isa import (
     ToolParams,
     parse_program,
 )
+from pglblab.projector import dispatch_project, specialize, thread_jumps
 
 NO_AUX = AuxSpec()
 X_AUX = AuxSpec.parse("x.*")
@@ -187,6 +192,78 @@ def test_positive_cycle_needs_anchors_on_both_sides():
     result = mid_of("f.m ; #2 ; ! ; \\#2", ToolParams())
     assert result.value == 0
     assert result.cycle == ()
+
+
+# --- the chain walk and the per-object decoding against the references ---
+
+#: The aux marks each differential case is analysed under.
+DIFF_AUX = ("", "f.*", "g.m", "bool1.*")
+
+#: Positive cycles: a `g.m` or `f.*` loop with anchors on both sides, two
+#: closing loops, a loop with no anchor after it, and a register loop.
+HANDMADE_CYCLES = (
+    "f.n ; +g.m ; \\#1 ; !",
+    "h.m ; +g.m ; #2 ; f.n ; \\#3 ; h.n ; !",
+    "h.n ; -g.m ; \\#1 ; +f.m ; \\#1 ; g.n ; h.m ; !",
+    "h.m ; +g.m ; \\#1",
+    "h.m ; set:1:2 ; +f.m ; i\\#1 ; g.n ; \\#4 ; !",
+)
+
+
+def differential_cases():
+    """(program, params): seeded random programs, family members k=1..6,
+    service loops k=1..3 and the hand-made positive cycles."""
+    random_params = ToolParams(maxr=2, maxn=3)
+    for seed in range(2000):
+        yield gen_random(seed, 3 + seed % 12, random_params), random_params
+    for k in range(1, 7):
+        p, fp = gen_scaling_family(k)
+        yield p, fp.tool_params()
+    for k in range(1, 4):
+        yield service_loop(k)
+    for text in HANDMADE_CYCLES:
+        yield parse_program(text), ToolParams(maxr=1, maxn=2)
+
+
+def test_chain_walk_matches_the_tarjan_reference():
+    """Graph and MidResult equal the references' under every aux of
+    DIFF_AUX, on each case and on its dispatch output (the branching side:
+    its register cells are aux-marked tests)."""
+    unbounded = 0
+    for p, params in differential_cases():
+        report = dispatch_project(p, params)
+        cells = AuxSpec.of_foci(report.aux_foci)
+        for program, extra, graph_params in (
+            (p, AuxSpec(), params),
+            (report.output, cells, report.output_params(params)),
+        ):
+            graph = build_state_graph(program, graph_params)
+            ref = reference_state_graph(program, graph_params)
+            assert (graph.node_count, graph.edge_count) == (ref.node_count, ref.edge_count)
+            assert (graph.codes, graph.offsets, graph.targets) == (ref.codes, ref.offsets, ref.targets)
+            for text in DIFF_AUX:
+                aux = AuxSpec.parse(text).union(extra)
+                result = compute_mid(graph, aux)
+                assert result == tarjan_mid(ref, aux), (str(program), text)
+                unbounded += result.value is None
+    # The cases reach the SCC pass's unbounded verdict, not only chains.
+    assert unbounded >= 100
+
+
+def test_weights_are_decoded_once_per_instruction_object(monkeypatch):
+    p, fp = gen_scaling_family(5)
+    params = fp.tool_params()
+    report = specialize(build_state_graph(p, params))
+    threaded = thread_jumps(report.output)
+    calls = []
+
+    def counting(u, aux):
+        calls.append(u)
+        return id_weight(u, aux)
+
+    monkeypatch.setattr(analyzer, "id_weight", counting)
+    assert program_mid(threaded, report.output_params(params)).value == 1
+    assert 0 < len(calls) <= len({id(u) for u in threaded.instructions}) < len(threaded)
 
 
 # --- the brute-force differential oracle ---

@@ -224,6 +224,19 @@ def test_unwritable_output_is_one_line_diagnostic(argv, target, tmp_path, capsys
     assert stderr.startswith("pglblab: cannot ") and target in stderr
 
 
+@pytest.mark.parametrize(
+    "gen", [["family", "--k", "1"], ["random", "--seed", "1", "--len", "5"]]
+)
+def test_gen_refuses_an_out_that_is_its_own_sidecar(gen, tmp_path, capsys):
+    target = tmp_path / "x.cfg"
+    code, stdout, stderr = invoke(capsys, "gen", *gen, "--out", str(target))
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("pglblab: cannot write ") and str(target) in stderr
+    assert not target.exists()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["project", "whatever"])  # --mode is required
