@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 diagnostics/errors/counterexample, 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import re
@@ -113,12 +114,39 @@ def _read(read: Callable[[], str], what: str) -> str:
         raise CLIError(f"cannot read {what}: {e}") from e
 
 
-def _write(path: Path, text: str) -> None:
-    """`path.write_text(text)`, refused as a CLIError when the file cannot be written."""
+def _write_files(files: dict[Path, str]) -> None:
+    """Write every file or none, refused as a CLIError.
+
+    Every destination is opened, without truncating it, before any is
+    written: one that cannot be opened (a directory, a missing directory)
+    refuses the whole set, leaving earlier files as they were and removing
+    the ones this call created.  Files are rewritten in place, not
+    replaced by renamed temporaries, because a new file costs far more
+    than a rewrite on some file systems (README, "Errors and exit codes").
+    """
+    opened = []
+    created: list[Path] = []
     try:
-        path.write_text(text)
+        for path in files:
+            existed = os.path.lexists(path)
+            opened.append(open(path, "a"))
+            if not existed:
+                created.append(path)
+        for (path, text), f in zip(files.items(), opened):
+            if path not in created:
+                # In append mode every write lands at the end, here 0.
+                f.truncate(0)
+            f.write(text)
+            f.close()
     except OSError as e:
-        raise CLIError(f"cannot write {path}: {e}") from e
+        for f in opened:
+            with contextlib.suppress(OSError):
+                f.close()
+        if len(opened) < len(files):  # refused before anything was written
+            for new in created:
+                with contextlib.suppress(OSError):
+                    new.unlink()
+        raise CLIError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _load_config(path) -> dict[str, str]:
@@ -267,8 +295,8 @@ def _cmd_project(args) -> int:
         out_dir / f"{prefix}.report.txt": summary,
         out_dir / f"{prefix}.cfg": _params_config_text(out_params, out_params.cell_foci),
     }
-    for path, content in written.items():
-        _write(path, content)
+    _write_files(written)
+    for path in written:
         print(f"wrote {path}")
     return 0
 
@@ -283,9 +311,8 @@ def _write_program(out: str | None, p: Program, params: ToolParams) -> None:
     if sidecar == path:
         # The sidecar would overwrite the program it describes.
         raise CLIError(f"cannot write {path}: it is the path of its own .cfg sidecar")
-    _write(path, text)
+    _write_files({path: text, sidecar: _params_config_text(params, None)})
     print(f"wrote {path}")
-    _write(sidecar, _params_config_text(params, None))
     print(f"wrote {sidecar}")
 
 
@@ -305,11 +332,13 @@ def _cmd_bench(args) -> int:
     rows = bench_family(args.kmax, params)
     text = to_json(rows) if args.json else to_csv(rows)
     if args.out:
-        _write(Path(args.out), text)
-        print(f"wrote {args.out}")
+        files = {Path(args.out): text}
         if args.md:
             md_path = Path(args.out).with_suffix(".md")
-            _write(md_path, to_markdown(rows))
+            files[md_path] = to_markdown(rows)
+        _write_files(files)
+        print(f"wrote {args.out}")
+        if args.md:
             print(f"wrote {md_path}")
     else:
         sys.stdout.write(to_markdown(rows) if args.md else text)

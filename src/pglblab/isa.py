@@ -154,27 +154,25 @@ def basic_of(u: Instruction) -> BasicInstruction | None:
     return None
 
 
+#: type(u) -> the text of `u`: one format per instruction kind.
+_FORMATS = {
+    Plain: lambda u: f"{u.basic.focus}.{u.basic.method}",
+    PosTest: lambda u: f"+{u.basic.focus}.{u.basic.method}",
+    NegTest: lambda u: f"-{u.basic.focus}.{u.basic.method}",
+    FwdJump: lambda u: f"#{u.distance}",
+    BwdJump: lambda u: f"\\#{u.distance}",
+    RegSet: lambda u: f"set:{u.register}:{u.value}",
+    IndFwdJump: lambda u: f"i#{u.register}",
+    IndBwdJump: lambda u: f"i\\#{u.register}",
+    Halt: lambda u: "!",
+}
+
+
 def render_instruction(u: Instruction) -> str:
-    match u:
-        case Plain(b):
-            return str(b)
-        case PosTest(b):
-            return f"+{b}"
-        case NegTest(b):
-            return f"-{b}"
-        case FwdJump(l):
-            return f"#{l}"
-        case BwdJump(l):
-            return f"\\#{l}"
-        case RegSet(i, n):
-            return f"set:{i}:{n}"
-        case IndFwdJump(i):
-            return f"i#{i}"
-        case IndBwdJump(i):
-            return f"i\\#{i}"
-        case Halt():
-            return "!"
-    raise TypeError(f"not an instruction: {u!r}")
+    render = _FORMATS.get(type(u))
+    if render is None:
+        raise TypeError(f"not an instruction: {u!r}")
+    return render(u)
 
 
 @dataclass(frozen=True)

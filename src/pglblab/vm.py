@@ -7,6 +7,11 @@ proceed as if True were produced, so they never consume an oracle reply;
 only tests do.
 
 `execute` is the interpreter loop; `run` and `step` are calls into it.
+Each call decodes a position once, the first time it reaches it, into a
+step rule that holds the position's events and targets, so a step is one
+dict lookup and one branch on the rule's opcode.  Rules are kept per call
+and per visited position; `cell_reply` stays the one cell law, read into
+a rule when it is decoded.
 """
 from __future__ import annotations
 
@@ -157,6 +162,67 @@ def initial_config(p: Program, params: ToolParams, oracle: ReplyOracle) -> Machi
     return MachineConfig(1, (0,) * params.maxr, cells, oracle)
 
 
+# Step rules.  A position is decoded once per run, the first time the run
+# reaches it, into (op, event on True, target on True, event on False,
+# target on False, operand).  A target is a position, 0 where the run stops
+# there; a rule whose outcome does not depend on a reply has the same
+# event and target in both slots.
+_GO, _ASK, _CELL, _SET, _IND = range(5)
+
+#: Builds a TraceEvent from a (position, instruction, reply) tuple without
+#: the Python-level `__new__` of the named tuple, at about half the cost:
+#: a run that visits each position once pays one or two per step.
+_event = tuple.__new__
+
+
+def _decode(u: Instruction, pc: int, length: int, cells: dict[str, bool]) -> tuple:
+    """The step rule of instruction `u` at position `pc`.
+
+    _GO has one outcome; _ASK takes the oracle's next reply; _CELL runs
+    the cell law (operand: the focus and `cell_reply` of both contents);
+    _SET stores (register index, value); _IND jumps by register `operand[0]`
+    times the direction `operand[1]`, so only its target is left open.
+    """
+    kind = type(u)
+    if kind is Plain or kind is PosTest or kind is NegTest:
+        # A test proceeds on True (+) or False (-) and skips one otherwise;
+        # a plain instruction proceeds on either reply.  A target outside
+        # the program deadlocks.
+        near = pc + 1 if pc < length else 0
+        far = pc + 2 if pc + 2 <= length else 0
+        on_true = far if kind is NegTest else near
+        on_false = far if kind is PosTest else near
+        true_event = _event(TraceEvent, (pc, u, True))
+        focus, method = u.basic.focus, u.basic.method
+        if focus not in cells and kind is Plain:
+            # Without a cell, a plain instruction proceeds as if True were
+            # produced.
+            return (_GO, true_event, near, true_event, near, None)
+        false_event = _event(TraceEvent, (pc, u, False))
+        if focus in cells:
+            law = (cell_reply(False, method), cell_reply(True, method))
+            return (_CELL, true_event, on_true, false_event, on_false, (focus, law))
+        return (_ASK, true_event, on_true, false_event, on_false, None)
+    event = _event(TraceEvent, (pc, u, None))
+    if kind is FwdJump:
+        # A zero jump deadlocks, like a target outside the program.
+        target = pc + u.distance if 0 < u.distance <= length - pc else 0
+    elif kind is BwdJump:
+        target = pc - u.distance if 0 < u.distance < pc else 0
+    elif kind is RegSet:
+        operand = (u.register - 1, u.value)
+        target = pc + 1 if pc < length else 0
+        return (_SET, event, target, event, target, operand)
+    elif kind is IndFwdJump or kind is IndBwdJump:
+        operand = (u.register - 1, 1 if kind is IndFwdJump else -1)
+        return (_IND, event, 0, event, 0, operand)
+    elif kind is Halt:
+        target = 0
+    else:
+        raise TypeError(f"not an instruction: {u!r}")
+    return (_GO, event, target, event, target, None)
+
+
 def execute(
     p: Program, cfg: MachineConfig, limit: int
 ) -> tuple[list[TraceEvent], Status | None, MachineConfig]:
@@ -167,6 +233,9 @@ def execute(
     when a test needed a reply the oracle does not have; that test is not
     executed.  `end` is the configuration where the run stopped, with the
     oracle advanced past the replies it used.
+
+    Each position the run reaches is decoded once into a step rule that
+    holds its events (one per outcome, shared by every visit) and targets.
     """
     if cfg.status is not Status.RUNNING:
         raise ValueError("cannot step a configuration that is not running")
@@ -182,58 +251,40 @@ def execute(
     index = oracle._index
     events: list[TraceEvent] = []
     append = events.append
-    # One event object per position and reply: key pc for reply None or
-    # True, -pc for False (a position's replies are all None or all bools).
-    made: dict[int, TraceEvent] = {}
+    rules: dict[int, tuple] = {}
+    rule_at = rules.get
     final: Status | None = Status.STEP_LIMIT
     for _ in range(limit):
-        u = ins[pc - 1]
-        kind = type(u)
-        key = pc
-        reply = None
-        if kind is Plain or kind is PosTest or kind is NegTest:
-            basic = u.basic
-            focus = basic.focus
-            if focus in cells:
-                cells[focus], reply = cell_reply(cells[focus], basic.method)
-            elif kind is Plain:
-                # A plain instruction proceeds as if True were produced.
-                reply = True
-            else:
-                if index >= len(replies) and not oracle.supply(index + 1):
-                    final = None
-                    break
-                reply = replies[index]
-                index += 1
+        rule = rule_at(pc)
+        if rule is None:
+            rule = rules[pc] = _decode(ins[pc - 1], pc, length, cells)
+        op, event, target, on_false, false_target, operand = rule
+        if op is _GO:
+            pass
+        elif op is _ASK:
+            if index >= len(replies) and not oracle.supply(index + 1):
+                final = None
+                break
+            if not replies[index]:
+                event, target = on_false, false_target
+            index += 1
+        elif op is _CELL:
+            focus, law = operand
+            cells[focus], reply = law[cells[focus]]
             if not reply:
-                key = -pc
-            # A test proceeds on True (+) or False (-) and skips one otherwise.
-            target = pc + 1 if kind is Plain or (not reply) is (kind is NegTest) else pc + 2
+                event, target = on_false, false_target
+        elif op is _SET:
+            register, value = operand
+            registers[register] = value
         else:
-            if kind is FwdJump:
-                distance = u.distance
-            elif kind is BwdJump:
-                distance = -u.distance
-            elif kind is RegSet:
-                registers[u.register - 1] = u.value
-                distance = 1
-            elif kind is IndFwdJump:
-                distance = registers[u.register - 1]
-            elif kind is IndBwdJump:
-                distance = -registers[u.register - 1]
-            elif kind is Halt:
-                distance = 0
-            else:
-                raise TypeError(f"not an instruction: {u!r}")
-            # Distance 0 stops the run (a halt terminates, a zero jump
-            # deadlocks); so does a target outside the program (deadlock).
-            target = pc + distance if distance else 0
-        event = made.get(key)
-        if event is None:
-            event = made[key] = TraceEvent(pc, u, reply)
+            register, direction = operand
+            distance = registers[register]
+            target = pc + direction * distance if distance else 0
+            if not 1 <= target <= length:
+                target = 0
         append(event)
-        if not 1 <= target <= length:
-            final = Status.TERMINATED if kind is Halt else Status.DEADLOCKED
+        if not target:
+            final = Status.TERMINATED if type(event.instruction) is Halt else Status.DEADLOCKED
             pc = 0
             break
         pc = target

@@ -4,8 +4,10 @@
 Tarjan SCC pass over the whole from-anchor region, with the weights decoded
 once per program position.  `reference_state_graph` is `build_state_graph`
 as it was before the rules were decoded once per instruction object: one
-decoder call per program position.  Both are kept unchanged as the
-references of the differential tests.
+decoder call per program position.  `reference_execute` is `vm.execute`
+as it was before each position was decoded once per run into a step rule:
+one dispatch on the instruction type, and one `cell_reply` call, per step.
+All three are kept unchanged as the references of the differential tests.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from pglblab.isa import (
     ToolParams,
     require_valid,
 )
+from pglblab.vm import MachineConfig, Status, TraceEvent, cell_reply
 
 
 # Successor rules of one program position, decoded once per build: no
@@ -283,3 +286,87 @@ def _bfs_path(succ, sources, goal, allowed) -> list[int]:
                 prev[t] = v
                 queue.append(t)
     raise AssertionError("no path to a goal state")
+
+
+def reference_execute(
+    p: Program, cfg: MachineConfig, limit: int
+) -> tuple[list[TraceEvent], Status | None, MachineConfig]:
+    """Run from `cfg` for at most `limit` steps: the interpreter itself.
+
+    Returns (events, final, end).  `final` is TERMINATED or DEADLOCKED when
+    the run stopped on its own, STEP_LIMIT after `limit` steps, and None
+    when a test needed a reply the oracle does not have; that test is not
+    executed.  `end` is the configuration where the run stopped, with the
+    oracle advanced past the replies it used.
+    """
+    if cfg.status is not Status.RUNNING:
+        raise ValueError("cannot step a configuration that is not running")
+    ins = p.instructions
+    length = len(ins)
+    pc = cfg.pc
+    if not 1 <= pc <= length:
+        raise IndexError(f"position {pc} out of range")
+    registers = list(cfg.registers)
+    cells = dict(cfg.cells)
+    oracle = cfg.oracle
+    replies = oracle.replies
+    index = oracle._index
+    events: list[TraceEvent] = []
+    append = events.append
+    # One event object per position and reply: key pc for reply None or
+    # True, -pc for False (a position's replies are all None or all bools).
+    made: dict[int, TraceEvent] = {}
+    final: Status | None = Status.STEP_LIMIT
+    for _ in range(limit):
+        u = ins[pc - 1]
+        kind = type(u)
+        key = pc
+        reply = None
+        if kind is Plain or kind is PosTest or kind is NegTest:
+            basic = u.basic
+            focus = basic.focus
+            if focus in cells:
+                cells[focus], reply = cell_reply(cells[focus], basic.method)
+            elif kind is Plain:
+                # A plain instruction proceeds as if True were produced.
+                reply = True
+            else:
+                if index >= len(replies) and not oracle.supply(index + 1):
+                    final = None
+                    break
+                reply = replies[index]
+                index += 1
+            if not reply:
+                key = -pc
+            # A test proceeds on True (+) or False (-) and skips one otherwise.
+            target = pc + 1 if kind is Plain or (not reply) is (kind is NegTest) else pc + 2
+        else:
+            if kind is FwdJump:
+                distance = u.distance
+            elif kind is BwdJump:
+                distance = -u.distance
+            elif kind is RegSet:
+                registers[u.register - 1] = u.value
+                distance = 1
+            elif kind is IndFwdJump:
+                distance = registers[u.register - 1]
+            elif kind is IndBwdJump:
+                distance = -registers[u.register - 1]
+            elif kind is Halt:
+                distance = 0
+            else:
+                raise TypeError(f"not an instruction: {u!r}")
+            # Distance 0 stops the run (a halt terminates, a zero jump
+            # deadlocks); so does a target outside the program (deadlock).
+            target = pc + distance if distance else 0
+        event = made.get(key)
+        if event is None:
+            event = made[key] = TraceEvent(pc, u, reply)
+        append(event)
+        if not 1 <= target <= length:
+            final = Status.TERMINATED if kind is Halt else Status.DEADLOCKED
+            pc = 0
+            break
+        pc = target
+    status = final if pc == 0 else Status.RUNNING
+    return events, final, MachineConfig(pc, tuple(registers), cells, oracle.at(index), status)

@@ -224,6 +224,33 @@ def test_unwritable_output_is_one_line_diagnostic(argv, target, tmp_path, capsys
     assert stderr.startswith("pglblab: cannot ") and target in stderr
 
 
+def test_project_writes_all_files_or_none(tmp_path, capsys):
+    prog, out = tmp_path / "p.pglb", tmp_path / "out"
+    prog.write_text("set:1:2 ; i#1 ; +f.m ; !\n")
+    argv = ("project", str(prog), "--mode", "dispatch", "--out-dir", str(out))
+    assert invoke(capsys, *argv)[0] == 0
+    kept = {path.name: path.read_bytes() for path in out.iterdir()}
+    # A second run of another program meets a directory in the way.
+    prog.write_text("+f.m ; g.n ; !\n")
+    (out / "p.dispatch.map.csv").unlink()
+    (out / "p.dispatch.map.csv").mkdir()
+    code, stdout, stderr = invoke(capsys, *argv, "--thread")
+    assert code == 1 and stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("pglblab: cannot write ")
+    assert sorted(path.name for path in out.iterdir()) == sorted(kept)
+    del kept["p.dispatch.map.csv"]
+    assert {name: (out / name).read_bytes() for name in kept} == kept
+
+
+def test_gen_writes_neither_file_when_the_sidecar_is_a_directory(tmp_path, capsys):
+    (tmp_path / "x.cfg").mkdir()
+    argv = ("gen", "family", "--k", "1", "--out", str(tmp_path / "x.pglb"))
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("pglblab: cannot write ") and "x.cfg" in stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["x.cfg"]
+
+
 @pytest.mark.parametrize(
     "gen", [["family", "--k", "1"], ["random", "--seed", "1", "--len", "5"]]
 )

@@ -1,4 +1,4 @@
-"""Golden outputs: `mid` and `project` text pinned by SHA-256 digests.
+"""Golden outputs: `mid`, `project` and `run` text pinned by SHA-256 digests.
 
 The cases are selection-family members k=1..4, 40 `gen random` programs
 (seeds 1..40, lengths 6..9), and programs with unbounded MID: the
@@ -11,10 +11,13 @@ loops also appear unmarked, with MID 4.
 
 For each case the fixture holds the digest of the `mid` stdout, and for
 each projection (both modes, with and without `--thread`) one digest over
-the four files `project` writes.  A finite MID must reproduce its `mid`
-stdout byte for byte.  An unbounded MID may name a different, equally
-valid cycle, so only its `MID`, `nodes` and `edges` lines are pinned, and
-its witness and cycle must replay through the interpreter.
+the four files `project` writes.  It also holds the digest of the `run
+--oracle 7 --steps 2000` stdout for the case and for each projection's
+output program, read with its own `.cfg` sidecar.  A finite MID must
+reproduce its `mid` stdout byte for byte.  An unbounded MID may name a
+different, equally valid cycle, so only its `MID`, `nodes` and `edges`
+lines are pinned, and its witness and cycle must replay through the
+interpreter.
 
 Regenerate the fixture with `PYTHONPATH=src python tests/test_golden.py
 --write`, and only when an output change is intended.
@@ -55,6 +58,8 @@ PROJECTIONS = [
 ]
 
 SUFFIXES = ("pglb", "map.csv", "report.txt", "cfg")
+
+RUN_ARGS = ("--oracle", "7", "--steps", "2000")
 
 
 def _sha(text: str) -> str:
@@ -97,6 +102,7 @@ def capture(case: str, workdir: Path) -> tuple[dict, Path]:
     digests = {
         "unbounded": unbounded,
         "mid": _sha(_stable_mid_lines(stdout) if unbounded else stdout),
+        "run": _run_digest(case, prog),
     }
     for mode, thread in PROJECTIONS:
         out_dir = workdir / f"{mode}{'-thread' if thread else ''}"
@@ -106,8 +112,16 @@ def capture(case: str, workdir: Path) -> tuple[dict, Path]:
         files = "".join(
             f"{suffix}\n{(out_dir / f'prog.{mode}.{suffix}').read_text()}" for suffix in SUFFIXES
         )
-        digests[f"{mode}{'.thread' if thread else ''}"] = _sha(files)
+        key = f"{mode}{'.thread' if thread else ''}"
+        digests[key] = _sha(files)
+        digests[f"run.{key}"] = _run_digest(case, out_dir / f"prog.{mode}.pglb")
     return digests, prog
+
+
+def _run_digest(case: str, prog: Path) -> str:
+    code, stdout = _cli("run", str(prog), *RUN_ARGS)
+    assert code == 0, (case, prog.name)
+    return _sha(stdout)
 
 
 def _load_fixture() -> dict:

@@ -1,12 +1,17 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import reference_execute
 
+from pglblab.analyzer import build_state_graph
 from pglblab.family import gen_scaling_family, gen_random
 from pglblab.isa import (
     AuxSpec,
     BasicInstruction,
+    BwdJump,
+    Halt,
     InvalidProgram,
     NegTest,
     Plain,
@@ -14,7 +19,9 @@ from pglblab.isa import (
     Program,
     ToolParams,
     parse_program,
+    render_instruction,
 )
+from pglblab.projector import dispatch_project, specialize
 from pglblab.vm import (
     MachineConfig,
     OracleExhausted,
@@ -333,6 +340,104 @@ def test_run_equals_step_by_step_replay(cells, aux):
                 )
                 assert got.final == ref.final
     assert exhausted > 0  # the short scripts do run out
+
+
+# --- differential: execute against the per-step reference interpreter ---
+
+
+def execute_outcome(interpreter, p, cfg, limit):
+    """(comparable result, end configuration or None) of one call."""
+    try:
+        events, final, end = interpreter(p, cfg, limit)
+    except UnknownCellMethod as e:
+        return ("raised", str(e)), None
+    # One event object per position and outcome within a call.
+    assert len(set(map(id, events))) == len({(e.position, e.reply) for e in events})
+    shown = [(e.position, render_instruction(e.instruction), e.reply) for e in events]
+    state = (end.pc, end.registers, end.cells, end.status, end.oracle._index)
+    return (shown, final, state), end
+
+
+def assert_same_runs(p, cfg, limit) -> list:
+    """`execute` and `reference_execute` agree from `cfg` and, as `check`
+    resumes runs, from every running configuration either returns: a
+    step-limit cut runs on with its own oracle, a waiting run with a
+    fresh one-reply script of each reply.  Returns the outcomes."""
+    pending = [cfg]
+    outcomes = []
+    while pending and len(outcomes) < 40:
+        cfg = pending.pop()
+        got, end = execute_outcome(execute, p, cfg, limit)
+        assert got == execute_outcome(reference_execute, p, cfg, limit)[0], (str(p), cfg, limit)
+        outcomes.append(got)
+        if end is None or end.status is not Status.RUNNING:
+            continue
+        if got[1] is None:
+            pending += [replace(end, oracle=Scripted((r,))) for r in (False, True)]
+        else:
+            pending.append(end)
+    return outcomes
+
+
+def with_cell_methods(p: Program, rng: random.Random) -> Program:
+    """`p` with some basic instructions turned into cell requests, focus h
+    sometimes renamed bool1, so every binding below meets get, set:T,
+    set:F and, on a bound focus, the unknown methods m and n."""
+    out = []
+    for u in p.instructions:
+        if type(u) in (Plain, PosTest, NegTest) and rng.random() < 0.7:
+            focus = "bool1" if u.basic.focus == "h" and rng.random() < 0.5 else u.basic.focus
+            u = type(u)(BasicInstruction(focus, rng.choice(_CELL_METHODS)))
+        out.append(u)
+    return Program(tuple(out))
+
+
+_BINDINGS = (None, frozenset(), frozenset({"f"}), frozenset({"bool1", "g", "h"}))
+
+
+def test_execute_matches_the_reference_interpreter():
+    rng = random.Random(13)
+    outcomes = []
+    for seed in range(160):
+        params = ToolParams(maxr=1 + seed % 3, maxn=1 + seed % 5)
+        p = with_cell_methods(gen_random(seed, 1 + seed % 16, params), rng)
+        for cells in _BINDINGS:
+            for cell_init in (False, True):
+                run_params = replace(params, cell_foci=cells, cell_init=cell_init)
+                script = Scripted(tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 4))))
+                for oracle in (Seeded(seed), script):
+                    cfg = initial_config(p, run_params, oracle)
+                    for limit in (1, 2, 9, 400):
+                        outcomes += assert_same_runs(p, cfg, limit)
+    finals = [final for _, final, *state in outcomes if state]
+    assert len(outcomes) > 20_000 and len(outcomes) - len(finals) > 500
+    assert set(finals) == {None, Status.TERMINATED, Status.DEADLOCKED, Status.STEP_LIMIT}
+
+
+def service_loop(p: Program) -> Program:
+    """Each `!` at position i turned into a jump back to position 1."""
+    return Program(tuple(
+        BwdJump(i) if type(u) is Halt else u for i, u in enumerate(p.instructions)
+    ))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_execute_matches_the_reference_on_service_loops(k):
+    p, fp = gen_scaling_family(k)
+    p = service_loop(p)
+    for cells in (None, frozenset()):
+        params = fp.tool_params(cell_foci=cells)
+        report = dispatch_project(p, params)
+        for program, run_params in (
+            (p, params),
+            (specialize(build_state_graph(p, params)).output, params),
+            (report.output, report.output_params(params)),
+        ):
+            for seed in (71, 72):
+                cfg = initial_config(program, run_params, Seeded(seed))
+                got, _ = execute_outcome(execute, program, cfg, 10_000)
+                assert got == execute_outcome(reference_execute, program, cfg, 10_000)[0]
+                assert len(got[0]) == 10_000 and got[1] is Status.STEP_LIMIT
 
 
 def test_oracle_exhausted_message_counts_used_replies():
