@@ -6,7 +6,6 @@ from .analyzer import (
     StateGraph,
     StateLimitExceeded,
     StateNode,
-    brute_force_mid,
     build_state_graph,
     compute_mid,
     id_weight,

@@ -8,7 +8,7 @@ consecutive zero-weight occurrences ("anchors").
 
 The state graph over-approximates runs by treating every test reply as
 nondeterministic — Boolean-cell determinism is deliberately ignored, so the
-analysis needs no service bindings.  `brute_force_mid` is an independent
+analysis needs no service bindings.  The tests hold an independent
 run-enumeration oracle over the same reply nondeterminism.
 
 `compute_mid` resolves each state on a chain of single-successor states by
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from operator import not_
 from typing import Callable, NamedTuple
@@ -41,7 +41,6 @@ from .isa import (
     ToolParams,
     require_valid,
 )
-from .vm import MachineConfig, Scripted, Status, step
 
 AuxPredicate = Callable[[BasicInstruction], bool]
 
@@ -456,68 +455,3 @@ def _bfs_path(succ, sources, goal, allowed) -> list[int]:
                 prev[t] = v
                 queue.append(t)
     raise AssertionError("no path to a goal state")
-
-
-def brute_force_mid(p: Program, params: ToolParams, depth: int) -> int:
-    """Independent oracle: explore every reply sequence up to `depth` steps.
-
-    Replies are fully nondeterministic (cell bindings ignored), matching the
-    state-graph semantics.  Sound lower bound of the true MID; exact once
-    `depth` exceeds the longest simple path of an acyclic state graph.
-    Arriving at an already-explored (state, accumulation) with no more
-    remaining steps is pruned — the continuations are a subset of what was
-    already explored, so the result is that of the full enumeration.
-    """
-    require_valid(p, params)
-    aux = params.aux
-    # No cell bindings: every test reply is a free choice, as in the graph.
-    initial = MachineConfig(1, (0,) * params.maxr, {}, Scripted(()))
-    best = 0
-    earliest: dict[tuple[int, tuple[int, ...], int, bool], int] = {}
-    # DFS over the run tree: (config, steps, weight since last anchor, seen one)
-    stack: list[tuple[MachineConfig, int, int, bool]] = [(initial, 0, 0, False)]
-    while stack:
-        cfg, steps, acc, opened = stack.pop()
-        if cfg.status is not Status.RUNNING or steps >= depth:
-            continue
-        key = (cfg.pc, cfg.registers, acc, opened)
-        prior = earliest.get(key)
-        if prior is not None and prior <= steps:
-            continue
-        earliest[key] = steps
-        u = p.at(cfg.pc)
-        w = id_weight(u, aux)
-        if w == 0:
-            if opened and acc > best:
-                best = acc
-            nacc, nopened = 0, True
-        else:
-            nacc, nopened = (acc + w if opened else 0), opened
-        if isinstance(u, (PosTest, NegTest)):
-            for r in (False, True):
-                nxt, _ = step(p, replace(cfg, oracle=Scripted((r,))))
-                stack.append((nxt, steps + 1, nacc, nopened))
-        else:
-            nxt, _ = step(p, cfg)
-            stack.append((nxt, steps + 1, nacc, nopened))
-    return best
-
-
-def replay_segment(p: Program, params: ToolParams, nodes: tuple[StateNode, ...]) -> int:
-    """Replay a witness through vm.step and return its interior weight sum.
-
-    Raises AssertionError if the claimed node sequence is not a run segment.
-    """
-    assert nodes, "empty witness"
-    for a, b in zip(nodes, nodes[1:]):
-        u = p.at(a.pc)
-        replies: tuple[bool, ...] = ()
-        if isinstance(u, PosTest):
-            replies = (b.pc == a.pc + 1,)
-        elif isinstance(u, NegTest):
-            replies = (b.pc != a.pc + 1,)
-        cfg = MachineConfig(a.pc, a.registers, {}, Scripted(replies))
-        nxt, _ = step(p, cfg)
-        assert nxt.status is Status.RUNNING, f"segment dies at {a}"
-        assert (nxt.pc, nxt.registers) == (b.pc, b.registers), f"bad edge {a} -> {b}"
-    return sum(id_weight(p.at(n.pc), params.aux) for n in nodes[1:-1])

@@ -114,29 +114,34 @@ def _read(read: Callable[[], str], what: str) -> str:
         raise CLIError(f"cannot read {what}: {e}") from e
 
 
+def _open_untruncated(path, flags: int) -> int:
+    """`os.open` for `open(..., "w")` without O_TRUNC: write access only."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_files(files: dict[Path, str]) -> None:
     """Write every file or none, refused as a CLIError.
 
     Every destination is opened, without truncating it, before any is
     written: one that cannot be opened (a directory, a missing directory)
     refuses the whole set, leaving earlier files as they were and removing
-    the ones this call created.  Files are rewritten in place, not
-    replaced by renamed temporaries, because a new file costs far more
-    than a rewrite on some file systems (README, "Errors and exit codes").
+    the ones this call created.  Files are rewritten in place from offset
+    0 and cut at the end of the new text, not truncated first nor replaced
+    by renamed temporaries, because freeing or making a file costs far
+    more than a rewrite on some file systems (README, "Errors and exit
+    codes").
     """
     opened = []
     created: list[Path] = []
     try:
         for path in files:
             existed = os.path.lexists(path)
-            opened.append(open(path, "a"))
+            opened.append(open(path, "w", opener=_open_untruncated))
             if not existed:
                 created.append(path)
         for (path, text), f in zip(files.items(), opened):
-            if path not in created:
-                # In append mode every write lands at the end, here 0.
-                f.truncate(0)
             f.write(text)
+            f.truncate()
             f.close()
     except OSError as e:
         for f in opened:

@@ -237,6 +237,8 @@ _INSTR_BUILD: dict[str, Callable[[re.Match[str]], Instruction]] = {
 def _strip_comments(text: str) -> str:
     # '//' starts a comment running to end of line; the grammar has no
     # string literals, so a plain per-line cut is safe.
+    if "//" not in text:
+        return text
     return "\n".join(line.split("//", 1)[0] for line in text.split("\n"))
 
 

@@ -12,13 +12,20 @@ step rule that holds the position's events and targets, so a step is one
 dict lookup and one branch on the rule's opcode.  Rules are kept per call
 and per visited position; `cell_reply` stays the one cell law, read into
 a rule when it is decoded.
+
+A run that reads no reply between two backward transfers is deterministic
+there, so `execute` watches the state (next pc, registers, cells) at those
+transfers with Brent's cycle detection (BIT 1980).  When a state comes
+back, the events since its first visit repeat for ever: whole laps are
+appended at once, and only the rest, shorter than one lap, is stepped.
+The events, final status and end configuration are those of stepping.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import cycle, islice, repeat
 from typing import NamedTuple
 
 from .isa import (
@@ -169,9 +176,9 @@ def initial_config(p: Program, params: ToolParams, oracle: ReplyOracle) -> Machi
 # event and target in both slots.
 _GO, _ASK, _CELL, _SET, _IND = range(5)
 
-#: Builds a TraceEvent from a (position, instruction, reply) tuple without
-#: the Python-level `__new__` of the named tuple, at about half the cost:
-#: a run that visits each position once pays one or two per step.
+#: Builds a named tuple, such as a TraceEvent from a (position, instruction,
+#: reply) tuple, without its Python-level `__new__`, at about half the
+#: cost: a run that visits each position once pays one or two per step.
 _event = tuple.__new__
 
 
@@ -236,6 +243,8 @@ def execute(
 
     Each position the run reaches is decoded once into a step rule that
     holds its events (one per outcome, shared by every visit) and targets.
+    A reply-free cycle is found at backward transfers and fast-forwarded
+    by whole laps (module docstring).
     """
     if cfg.status is not Status.RUNNING:
         raise ValueError("cannot step a configuration that is not running")
@@ -254,7 +263,13 @@ def execute(
     rules: dict[int, tuple] = {}
     rule_at = rules.get
     final: Status | None = Status.STEP_LIMIT
-    for _ in range(limit):
+    # Brent's method over the states at backward transfers since the last
+    # one that followed a reply: `saved` and the event count `saved_at`
+    # where it was taken, re-taken after `left` more transfers, `span`
+    # doubling each time.
+    mark = -1
+    ticks = repeat(None, limit)
+    for _ in ticks:
         rule = rule_at(pc)
         if rule is None:
             rule = rules[pc] = _decode(ins[pc - 1], pc, length, cells)
@@ -283,10 +298,25 @@ def execute(
             if not 1 <= target <= length:
                 target = 0
         append(event)
-        if not target:
-            final = Status.TERMINATED if type(event.instruction) is Halt else Status.DEADLOCKED
-            pc = 0
-            break
+        if target < pc:
+            if not target:
+                final = Status.TERMINATED if type(event.instruction) is Halt else Status.DEADLOCKED
+                pc = 0
+                break
+            if index != mark:
+                mark, saved, left, span = index, None, 0, 1
+            else:
+                state = (target, tuple(registers), tuple(cells.values()))
+                if state == saved:
+                    # Whole laps of the events since `saved`, then step on.
+                    lap = len(events) - saved_at
+                    ahead = (limit - len(events)) // lap * lap
+                    events += islice(cycle(events[saved_at:]), ahead)
+                    next(islice(ticks, ahead, ahead), None)
+                elif left > 1:
+                    left -= 1
+                else:
+                    saved, saved_at, left, span = state, len(events), span, span * 2
         pc = target
     status = final if pc == 0 else Status.RUNNING
     return events, final, MachineConfig(pc, tuple(registers), cells, oracle.at(index), status)
@@ -316,13 +346,26 @@ def run(p: Program, params: ToolParams, oracle: ReplyOracle) -> Trace:
 def observable_events(
     events: tuple[TraceEvent, ...], aux
 ) -> tuple[ObservableEvent, ...]:
-    """Project trace events to non-aux basic-instruction requests."""
+    """Project trace events to non-aux basic-instruction requests.
+
+    Each distinct event object is projected once: `execute` shares one
+    per position and outcome, so a long run holds few of them.
+    """
+    projected: dict[int, ObservableEvent | None] = {}
     out = []
     for ev in events:
-        b = basic_of(ev.instruction)
-        if b is not None and not aux(b):
-            assert ev.reply is not None
-            out.append(ObservableEvent(b.focus, b.method, ev.reply))
+        key = id(ev)
+        if key in projected:
+            o = projected[key]
+        else:
+            b = basic_of(ev.instruction)
+            if b is not None and not aux(b):
+                assert ev.reply is not None
+                o = projected[key] = _event(ObservableEvent, (b.focus, b.method, ev.reply))
+            else:
+                o = projected[key] = None
+        if o is not None:
+            out.append(o)
     return tuple(out)
 
 

@@ -8,11 +8,16 @@ decoder call per program position.  `reference_execute` is `vm.execute`
 as it was before each position was decoded once per run into a step rule:
 one dispatch on the instruction type, and one `cell_reply` call, per step.
 All three are kept unchanged as the references of the differential tests.
+
+`brute_force_mid` enumerates runs to find the MID that the state graph
+gives, and `replay_segment` replays a MID witness; both step through
+`vm.step`.
 """
 from __future__ import annotations
 
 from array import array
 from collections import deque
+from dataclasses import replace
 
 from pglblab.analyzer import (
     AuxPredicate,
@@ -36,7 +41,7 @@ from pglblab.isa import (
     ToolParams,
     require_valid,
 )
-from pglblab.vm import MachineConfig, Status, TraceEvent, cell_reply
+from pglblab.vm import MachineConfig, Scripted, Status, TraceEvent, cell_reply, step
 
 
 # Successor rules of one program position, decoded once per build: no
@@ -370,3 +375,68 @@ def reference_execute(
         pc = target
     status = final if pc == 0 else Status.RUNNING
     return events, final, MachineConfig(pc, tuple(registers), cells, oracle.at(index), status)
+
+
+def brute_force_mid(p: Program, params: ToolParams, depth: int) -> int:
+    """Independent oracle: explore every reply sequence up to `depth` steps.
+
+    Replies are fully nondeterministic (cell bindings ignored), matching the
+    state-graph semantics.  Sound lower bound of the true MID; exact once
+    `depth` exceeds the longest simple path of an acyclic state graph.
+    Arriving at an already-explored (state, accumulation) with no more
+    remaining steps is pruned — the continuations are a subset of what was
+    already explored, so the result is that of the full enumeration.
+    """
+    require_valid(p, params)
+    aux = params.aux
+    # No cell bindings: every test reply is a free choice, as in the graph.
+    initial = MachineConfig(1, (0,) * params.maxr, {}, Scripted(()))
+    best = 0
+    earliest: dict[tuple[int, tuple[int, ...], int, bool], int] = {}
+    # DFS over the run tree: (config, steps, weight since last anchor, seen one)
+    stack: list[tuple[MachineConfig, int, int, bool]] = [(initial, 0, 0, False)]
+    while stack:
+        cfg, steps, acc, opened = stack.pop()
+        if cfg.status is not Status.RUNNING or steps >= depth:
+            continue
+        key = (cfg.pc, cfg.registers, acc, opened)
+        prior = earliest.get(key)
+        if prior is not None and prior <= steps:
+            continue
+        earliest[key] = steps
+        u = p.at(cfg.pc)
+        w = id_weight(u, aux)
+        if w == 0:
+            if opened and acc > best:
+                best = acc
+            nacc, nopened = 0, True
+        else:
+            nacc, nopened = (acc + w if opened else 0), opened
+        if isinstance(u, (PosTest, NegTest)):
+            for r in (False, True):
+                nxt, _ = step(p, replace(cfg, oracle=Scripted((r,))))
+                stack.append((nxt, steps + 1, nacc, nopened))
+        else:
+            nxt, _ = step(p, cfg)
+            stack.append((nxt, steps + 1, nacc, nopened))
+    return best
+
+
+def replay_segment(p: Program, params: ToolParams, nodes: tuple[StateNode, ...]) -> int:
+    """Replay a witness through vm.step and return its interior weight sum.
+
+    Raises AssertionError if the claimed node sequence is not a run segment.
+    """
+    assert nodes, "empty witness"
+    for a, b in zip(nodes, nodes[1:]):
+        u = p.at(a.pc)
+        replies: tuple[bool, ...] = ()
+        if isinstance(u, PosTest):
+            replies = (b.pc == a.pc + 1,)
+        elif isinstance(u, NegTest):
+            replies = (b.pc != a.pc + 1,)
+        cfg = MachineConfig(a.pc, a.registers, {}, Scripted(replies))
+        nxt, _ = step(p, cfg)
+        assert nxt.status is Status.RUNNING, f"segment dies at {a}"
+        assert (nxt.pc, nxt.registers) == (b.pc, b.registers), f"bad edge {a} -> {b}"
+    return sum(id_weight(p.at(n.pc), params.aux) for n in nodes[1:-1])

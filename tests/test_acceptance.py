@@ -12,14 +12,9 @@ from dataclasses import replace
 from time import perf_counter
 
 import pytest
+from oracles import brute_force_mid, replay_segment
 
-from pglblab.analyzer import (
-    brute_force_mid,
-    build_state_graph,
-    compute_mid,
-    id_weight,
-    replay_segment,
-)
+from pglblab.analyzer import build_state_graph, compute_mid, id_weight
 from pglblab.bench import bench_family
 from pglblab.family import gen_scaling_family, gen_random
 from pglblab.isa import AuxSpec, InvalidProgram, ToolParams, is_pglb, parse_program

@@ -1,18 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import reference_state_graph, tarjan_mid
+from oracles import brute_force_mid, reference_state_graph, replay_segment, tarjan_mid
 from test_projector import service_loop
 
 import pglblab.analyzer as analyzer
 from pglblab.analyzer import (
     StateLimitExceeded,
     StateNode,
-    brute_force_mid,
     build_state_graph,
     compute_mid,
     id_weight,
     program_mid,
-    replay_segment,
 )
 from pglblab.family import gen_random, gen_scaling_family
 from pglblab.isa import (

@@ -1,4 +1,5 @@
 import io
+import os
 import sys
 
 import pytest
@@ -262,6 +263,36 @@ def test_gen_refuses_an_out_that_is_its_own_sidecar(gen, tmp_path, capsys):
     assert len(stderr.splitlines()) == 1
     assert stderr.startswith("pglblab: cannot write ") and str(target) in stderr
     assert not target.exists()
+
+
+def test_rewriting_with_shorter_text_leaves_exactly_the_new_bytes(tmp_path, capsys):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    fresh.mkdir()
+    assert invoke(capsys, "gen", "family", "--k", "3", "--out", str(reused / "x.pglb"))[0] == 0
+    longer = (reused / "x.pglb").read_bytes()
+    for out in (reused, fresh):
+        assert invoke(capsys, "gen", "family", "--k", "1", "--out", str(out / "x.pglb"))[0] == 0
+    shorter = (fresh / "x.pglb").read_bytes()
+    assert len(shorter) < len(longer)
+    for name in ("x.pglb", "x.cfg"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads any file")
+def test_an_existing_output_without_read_permission_is_rewritten(tmp_path, capsys):
+    target = tmp_path / "x.pglb"
+    target.write_text("stale text that is longer than the new program\n" * 40)
+    target.chmod(0o200)
+    try:
+        with pytest.raises(PermissionError):
+            target.read_text()
+        assert invoke(capsys, "gen", "family", "--k", "1", "--out", str(target))[0] == 0
+        target.chmod(0o600)
+        p, _ = gen_scaling_family(1)
+        assert target.read_text() == render_program(p) + "\n"
+    finally:
+        target.chmod(0o600)
 
 
 def test_usage_error_exits_2(capsys):

@@ -133,7 +133,9 @@ def test_fixture_covers_every_case():
 
 
 def test_golden_outputs(tmp_path):
-    from pglblab.analyzer import build_state_graph, compute_mid, replay_segment
+    from oracles import replay_segment
+
+    from pglblab.analyzer import build_state_graph, compute_mid
     from pglblab.cli import read_program, resolve_params
 
     expected = _load_fixture()

@@ -1,5 +1,7 @@
+import contextlib
 import random
 from dataclasses import replace
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,17 +20,21 @@ from pglblab.isa import (
     PosTest,
     Program,
     ToolParams,
+    basic_of,
     parse_program,
     render_instruction,
 )
-from pglblab.projector import dispatch_project, specialize
+import pglblab.vm as vm
+from pglblab.projector import dispatch_project, specialize, thread_jumps
 from pglblab.vm import (
     MachineConfig,
+    ObservableEvent,
     OracleExhausted,
     Scripted,
     Seeded,
     Status,
     Trace,
+    TraceEvent,
     UnknownCellMethod,
     bound_cell_foci,
     cell_reply,
@@ -358,14 +364,15 @@ def execute_outcome(interpreter, p, cfg, limit):
     return (shown, final, state), end
 
 
-def assert_same_runs(p, cfg, limit) -> list:
+def assert_same_runs(p, cfg, limit, most=40) -> list:
     """`execute` and `reference_execute` agree from `cfg` and, as `check`
     resumes runs, from every running configuration either returns: a
     step-limit cut runs on with its own oracle, a waiting run with a
-    fresh one-reply script of each reply.  Returns the outcomes."""
+    fresh one-reply script of each reply.  Stops after `most` calls.
+    Returns the outcomes."""
     pending = [cfg]
     outcomes = []
-    while pending and len(outcomes) < 40:
+    while pending and len(outcomes) < most:
         cfg = pending.pop()
         got, end = execute_outcome(execute, p, cfg, limit)
         assert got == execute_outcome(reference_execute, p, cfg, limit)[0], (str(p), cfg, limit)
@@ -438,6 +445,110 @@ def test_execute_matches_the_reference_on_service_loops(k):
                 got, _ = execute_outcome(execute, program, cfg, 10_000)
                 assert got == execute_outcome(reference_execute, program, cfg, 10_000)[0]
                 assert len(got[0]) == 10_000 and got[1] is Status.STEP_LIMIT
+
+
+# --- reply-free cycles: fast-forwarded by whole laps ---
+
+#: The `corpus` benchmark's five programs that loop before their first
+#: reply (maxr 2, maxn 3), then hand-made ones: the shortest such loop, a
+#: lap of two passes that toggles a bound cell, and a lap holding an
+#: unbound plain instruction, observable but needing no reply.
+LOOPERS = (
+    "set:1:1 ; \\#1 ; \\#5 ; -h.n ; ! ; set:2:2",
+    "-bool1.get ; set:2:1 ; set:1:2 ; set:2:1 ; \\#3 ; set:1:3",
+    "set:2:3 ; \\#1 ; +f.m ; \\#1",
+    "set:1:1 ; i\\#1 ; ! ; set:2:3 ; +h.n ; -g.m ; h.m",
+    "set:2:1 ; i\\#2 ; +f.n ; -f.n ; #0 ; \\#3 ; #1",
+    "set:1:1 ; i\\#1 ; !",
+    "+bool1.get ; #3 ; bool1.set:T ; \\#3 ; bool1.set:F ; \\#5",
+    "+g.n ; f.m ; set:1:1 ; \\#2",
+)
+
+
+def looper_runs():
+    """(name, program, params) for each looper and its two projections."""
+    params = ToolParams(maxr=2, maxn=3)
+    for text in LOOPERS:
+        p = parse_program(text)
+        threaded = thread_jumps(specialize(build_state_graph(p, params)).output)
+        report = dispatch_project(p, params)
+        yield text, p, params
+        yield text + " (specialize)", threaded, params
+        yield text + " (dispatch)", report.output, report.output_params(params)
+
+
+def lap_of(events) -> int:
+    """The period of a run's last 1,000 events, which repeat."""
+    tail = list(map(id, events[-1000:]))
+    return next(n for n in range(1, 500) if tail[n:] == tail[:-n])
+
+
+def first_detection(p, cfg, laps) -> int:
+    """The least limit at which `execute` finds a state coming back."""
+    for limit in count(1):
+        seen = len(laps)
+        execute(p, cfg, limit)
+        if len(laps) > seen:
+            return limit
+
+
+def test_reply_free_cycles_match_the_reference(monkeypatch):
+    laps = []
+    real_cycle = vm.cycle
+    monkeypatch.setattr(vm, "cycle", lambda lap: laps.append(len(lap)) or real_cycle(lap))
+    for name, p, params in looper_runs():
+        cfg = initial_config(p, params, Seeded(3))
+        events, final, _ = reference_execute(p, cfg, 4096)
+        assert final is Status.STEP_LIMIT, name
+        first = first_detection(p, cfg, laps)
+        lap = laps[-1]
+        assert lap % lap_of(events) == 0, name
+        # Every limit up to 40, and limits around the first detection and
+        # whole laps after it; each run resumed as `check` resumes it.
+        limits = set(range(1, 40)) | {4096} | {
+            first + k * lap + d for k in (0, 1, 2, 7, 64) for d in (-1, 0, 1)
+        }
+        for limit in sorted(limits):
+            outcomes = assert_same_runs(p, cfg, limit, 8 if limit < 300 else 2)
+            assert outcomes[0][1] is Status.STEP_LIMIT, (name, limit)
+
+
+def reference_observable_events(events, aux):
+    """`observable_events` one event at a time."""
+    out = []
+    for ev in events:
+        b = basic_of(ev.instruction)
+        if b is not None and not aux(b):
+            assert ev.reply is not None
+            out.append(ObservableEvent(b.focus, b.method, ev.reply))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("aux", ["", "f.*", "*.m"])
+def test_observable_events_match_a_per_event_projection(aux):
+    aux = AuxSpec.parse(aux)
+    rng = random.Random(17)
+    traces = [
+        run(p, replace(params, aux=aux, step_limit=4096), Seeded(5)).events
+        for _, p, params in looper_runs()
+    ]
+    for seed in range(200):
+        params = ToolParams(maxr=2, maxn=3, step_limit=60)
+        p = with_cell_methods(gen_random(seed, 1 + seed % 12, params), rng)
+        for cells in _BINDINGS:
+            run_params = replace(params, cell_foci=cells)
+            with contextlib.suppress(InvalidProgram):
+                traces.append(run(p, run_params, Seeded(seed)).events)
+    # Events not shared by position and outcome, and a hand-made list.
+    traces += [tuple(TraceEvent(*e) for e in t) for t in traces[-50:]]
+    made = [TraceEvent(1, parse_program("f.m").instructions[0], r) for r in (True, False)]
+    traces.append(made * 3)
+    for events in traces:
+        assert observable_events(events, aux) == reference_observable_events(events, aux)
+    unanswered = [TraceEvent(1, parse_program("+g.n").instructions[0], None)]
+    for project in (observable_events, reference_observable_events):
+        with pytest.raises(AssertionError):
+            project(unanswered, lambda b: False)
 
 
 def test_oracle_exhausted_message_counts_used_replies():
