@@ -25,6 +25,7 @@ from operator import not_
 from typing import Callable, NamedTuple
 
 from .isa import (
+    BASIC_KINDS,
     BasicInstruction,
     BwdJump,
     FwdJump,
@@ -32,10 +33,8 @@ from .isa import (
     IndBwdJump,
     IndFwdJump,
     Instruction,
-    NegTest,
-    Plain,
+    MOVES,
     PglbError,
-    PosTest,
     Program,
     RegSet,
     ToolParams,
@@ -47,7 +46,6 @@ AuxPredicate = Callable[[BasicInstruction], bool]
 
 #: Weights that do not depend on the aux predicate.
 _FIXED_WEIGHT = {FwdJump: 1, BwdJump: 1, RegSet: 1, IndFwdJump: 2, IndBwdJump: 2, Halt: 0}
-_BASIC_KINDS = (Plain, PosTest, NegTest)
 
 
 def id_weight(u: Instruction, aux: AuxPredicate) -> int:
@@ -55,7 +53,7 @@ def id_weight(u: Instruction, aux: AuxPredicate) -> int:
     w = _FIXED_WEIGHT.get(type(u))
     if w is not None:
         return w
-    if type(u) in _BASIC_KINDS:
+    if type(u) in BASIC_KINDS:
         return 1 if aux(u.basic) else 0
     raise TypeError(f"not an instruction: {u!r}")
 
@@ -77,24 +75,23 @@ class StateLimitExceeded(PglbError, RuntimeError):
 _STOP, _STEP, _TEST, _SET, _IND = range(5)
 _NO_SUCCESSOR = (_STOP, 0, 0)
 _NEXT = (_STEP, 1, 0)
-#: The rules that depend on the instruction kind alone.
-_KIND_RULE = {Plain: _NEXT, PosTest: (_TEST, 1, 2), NegTest: (_TEST, 2, 1), Halt: _NO_SUCCESSOR}
 
 
 def _rule(u: Instruction, base: int, radix: int) -> tuple:
-    """The successor rule of `u`: the state-code delta of each successor, or
-    the register's place value and the operand for _SET/_IND."""
+    """The successor rule of `u`: the state-code delta of each successor
+    (its `MOVES` offsets), or the register's place value and the operand
+    for _SET/_IND."""
     kind = type(u)
-    rule = _KIND_RULE.get(kind)
-    if rule is not None:
-        return rule
+    a, b = MOVES[kind]
     if kind is FwdJump or kind is BwdJump:
-        d = u.distance if kind is FwdJump else -u.distance
-        return (_STEP, d, 0) if d else _NO_SUCCESSOR
-    place = base * radix ** (u.register - 1)
-    if kind is RegSet:
-        return (_SET, place, u.value)
-    return (_IND, place, 1 if kind is IndFwdJump else -1)
+        a = b = a * u.distance
+    elif kind is RegSet:
+        return (_SET, base * radix ** (u.register - 1), u.value)
+    elif kind is IndFwdJump or kind is IndBwdJump:
+        return (_IND, base * radix ** (u.register - 1), a)
+    if not a:
+        return _NO_SUCCESSOR
+    return (_STEP, a, 0) if a == b else (_TEST, a, b)
 
 
 @dataclass
@@ -133,11 +130,9 @@ class StateGraph:
         """Successor ids of node i, in branch order."""
         return self.targets[self.offsets[i]:self.offsets[i + 1]]
 
-    def node(self, i: int) -> StateNode:
-        return self.decoder()(i)
-
     def decoder(self) -> Callable[[int], StateNode]:
-        """`node` as a function that keeps the codes alive, not the graph."""
+        """A function that decodes node i to its `StateNode`; it keeps the
+        codes alive, not the graph."""
         codes, base, radix, maxr = self.codes, len(self.program) + 1, self.radix, self.maxr
 
         def node(i: int) -> StateNode:

@@ -34,6 +34,7 @@ from .isa import (
     IndBwdJump,
     IndFwdJump,
     InvalidProgram,
+    ParseError,
     PglbError,
     Program,
     RegSet,
@@ -195,10 +196,14 @@ def resolve_params(args, programs=(), sidecars=()) -> ToolParams:
 
 
 def read_program(path: str) -> tuple[Program, str, Path | None]:
-    """-> (program, display name, sidecar config path or None)."""
-    if path == "-":
-        return parse_program(_read(sys.stdin.read, "<stdin>")), "<stdin>", None
-    return parse_program(_read(Path(path).read_text, path)), path, Path(path).with_suffix(".cfg")
+    """-> (program, display name, sidecar config path or None); a parse error names the input."""
+    stdin = path == "-"
+    name = "<stdin>" if stdin else path
+    try:
+        p = parse_program(_read(sys.stdin.read if stdin else Path(path).read_text, name))
+    except ParseError as e:
+        raise CLIError(f"{name}:{e}") from None
+    return p, name, None if stdin else Path(path).with_suffix(".cfg")
 
 
 def _make_oracle(spec: str | None):
@@ -235,7 +240,8 @@ def _cmd_mid(args) -> int:
     print(f"MID = {result.text}")
     if result.witness:
         rendered = " ".join(
-            f"{node.pc}@{id_weight(p.at(node.pc), params.aux)}" for node in result.witness
+            f"{node.pc}@{id_weight(p.instructions[node.pc - 1], params.aux)}"
+            for node in result.witness
         )
         print(f"witness = {rendered}")
     if result.cycle:
@@ -326,7 +332,7 @@ def _cmd_gen(args) -> int:
         p, fp = gen_scaling_family(args.k)
         _write_program(args.out, p, fp.tool_params())
     else:
-        params = ToolParams(maxr=args.maxr or 2, maxn=args.maxn or 3)
+        params = ToolParams(maxr=args.maxr, maxn=args.maxn)
         p = gen_random(args.seed, args.len, params)
         _write_program(args.out, p, params)
     return 0
@@ -351,6 +357,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.p == args.q == "-":
+        raise CLIError("check reads stdin once: give at most one program as -")
     p, p_name, p_sidecar = read_program(args.p)
     q, q_name, q_sidecar = read_program(args.q)
     args.names = {id(p): p_name, id(q): q_name}
@@ -426,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     rnd = gen_sub.add_parser("random", help="seeded random programs")
     rnd.add_argument("--seed", type=int, required=True)
     rnd.add_argument("--len", type=int, required=True)
-    rnd.add_argument("--maxr", type=int)
-    rnd.add_argument("--maxn", type=int)
+    rnd.add_argument("--maxr", type=int, default=2)
+    rnd.add_argument("--maxn", type=int, default=3)
     rnd.add_argument("--out", help="output file (default stdout)")
     rnd.set_defaults(handler=_cmd_gen)
 

@@ -32,14 +32,11 @@ from .isa import (
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Machine parameters and foci of one family member."""
+    """Machine parameters of one family member."""
 
     k: int
     maxr: int
     maxn: int
-    branch_foci: tuple[str, ...]
-    final_foci: tuple[str, ...]
-    test_focus: str = "bool1"
 
     def tool_params(self, **overrides) -> ToolParams:
         defaults = dict(maxr=self.maxr, maxn=self.maxn, aux=AuxSpec())
@@ -86,8 +83,6 @@ def gen_scaling_family(k: int) -> tuple[Program, FamilyParams]:
         k=k,
         maxr=2,
         maxn=2 * n + 1,
-        branch_foci=tuple(f"a{i}" for i in range(1, n + 1)),
-        final_foci=tuple(f"ap{i}" for i in range(1, n + 1)),
     )
     assert len(program) == 12 * n + 4
     return program, params

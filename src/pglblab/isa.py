@@ -33,10 +33,9 @@ class InputError(PglbError, ValueError):
 class ParseError(PglbError, ValueError):
     """Raised on malformed program text; carries the 1-based source position."""
 
-    def __init__(self, message: str, line: int, column: int, token: str = ""):
+    def __init__(self, message: str, line: int, column: int):
         self.line = line
         self.column = column
-        self.token = token
         super().__init__(f"{line}:{column}: {message}")
 
 
@@ -146,6 +145,17 @@ Instruction = Union[
 #: Instruction kinds that are part of the register-free PGLB fragment.
 _PGLB_KINDS = frozenset((Plain, PosTest, NegTest, FwdJump, BwdJump, Halt))
 
+#: Where each instruction kind sends the pc: type(u) -> (offset on a True
+#: reply, offset on a False reply), 0 where the run stops.  A test proceeds
+#: on the reply its sign names and skips one instruction on the other; equal
+#: offsets do not depend on the reply.  A jump holds its direction, times
+#: its distance or its register's content, so a zero distance or content
+#: stops the run.  A target outside the program stops it too.
+MOVES = {
+    Plain: (1, 1), PosTest: (1, 2), NegTest: (2, 1), RegSet: (1, 1), Halt: (0, 0),
+    FwdJump: (1, 1), BwdJump: (-1, -1), IndFwdJump: (1, 1), IndBwdJump: (-1, -1),
+}
+
 
 def basic_of(u: Instruction) -> BasicInstruction | None:
     """The basic instruction carried by `u`, if any."""
@@ -177,7 +187,7 @@ def render_instruction(u: Instruction) -> str:
 
 @dataclass(frozen=True)
 class Program:
-    """An immutable instruction sequence; `at()` uses 1-based positions."""
+    """An immutable instruction sequence; position i is `instructions[i - 1]`."""
 
     instructions: tuple[Instruction, ...]
 
@@ -187,11 +197,6 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instructions)
-
-    def at(self, position: int) -> Instruction:
-        if not 1 <= position <= len(self.instructions):
-            raise IndexError(f"position {position} out of range")
-        return self.instructions[position - 1]
 
     def __str__(self) -> str:
         return render_program(self)
@@ -272,18 +277,18 @@ def parse_program(text: str) -> Program:
             try:
                 u = built[body] = _parse_instruction(body)
             except ValueError as exc:
-                raise _located(str(exc), stripped, chunks, chunks.index(chunk), body) from None
+                raise _located(str(exc), stripped, chunks, chunks.index(chunk)) from None
         of_chunk[chunk] = u
     return Program(tuple(map(of_chunk.__getitem__, chunks)))
 
 
-def _located(message: str, stripped: str, chunks: list[str], index: int, body: str) -> ParseError:
+def _located(message: str, stripped: str, chunks: list[str], index: int) -> ParseError:
     """The ParseError for chunk `index`, at its first non-blank character."""
     chunk = chunks[index]
     start = sum(len(c) + 1 for c in chunks[:index]) + len(chunk) - len(chunk.lstrip())
     line = stripped.count("\n", 0, start) + 1
     column = start - stripped.rfind("\n", 0, start)
-    return ParseError(message, line, column, body)
+    return ParseError(message, line, column)
 
 
 @dataclass(frozen=True)
@@ -345,7 +350,7 @@ class ToolParams:
     fixes which foci are bound to Boolean-cell services; None means the
     default binding of every focus matching bool<digits>.  `maxr` is at
     most MAX_REGISTERS; `step_limit` is at most MAX_STEP_LIMIT, which is
-    also its default.
+    also its default; neither limit is negative.
     """
 
     maxr: int = 2
@@ -363,6 +368,8 @@ class ToolParams:
             raise InputError(f"maxr {self.maxr} exceeds {MAX_REGISTERS}")
         if self.step_limit > MAX_STEP_LIMIT:
             raise InputError(f"step limit {self.step_limit} exceeds {MAX_STEP_LIMIT}")
+        if self.step_limit < 0 or self.state_limit < 0:
+            raise InputError("step and state limits must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -381,16 +388,16 @@ CELL_METHODS = frozenset(("set:T", "set:F", "get"))
 
 #: Instruction kinds that carry a basic instruction, a register index, and
 #: either.
-_WITH_BASIC = frozenset((Plain, PosTest, NegTest))
+BASIC_KINDS = frozenset((Plain, PosTest, NegTest))
 _WITH_REGISTER = frozenset((RegSet, IndFwdJump, IndBwdJump))
-_WITH_OPERAND = _WITH_BASIC | _WITH_REGISTER
+_WITH_OPERAND = BASIC_KINDS | _WITH_REGISTER
 
 
 def bound_cell_foci(p: Program, params: ToolParams) -> frozenset[str]:
     """Foci served by Boolean cells in runs of `p` under `params`."""
     if params.cell_foci is not None:
         return params.cell_foci
-    foci = {u.basic.focus for u in p.instructions if type(u) in _WITH_BASIC}
+    foci = {u.basic.focus for u in p.instructions if type(u) in BASIC_KINDS}
     return frozenset(filter(_AUTO_CELL_FOCUS.fullmatch, foci))
 
 

@@ -37,6 +37,7 @@ from .isa import (
     IndFwdJump,
     InputError,
     Instruction,
+    MOVES,
     NegTest,
     Plain,
     PosTest,
@@ -142,6 +143,12 @@ _BLOCK_SIZE = {Plain: 2, PosTest: 3, NegTest: 3}
 #: Instruction kinds whose `specialize` block is one jump.
 _JUMP_KINDS = frozenset((FwdJump, BwdJump, RegSet, IndFwdJump, IndBwdJump))
 
+#: The kinds whose two replies go to different positions: the tests.
+_TEST_KINDS = frozenset(kind for kind, (on_true, on_false) in MOVES.items() if on_true != on_false)
+
+#: The tests that skip on True: their pc+1 branch is the graph's second.
+_SKIP_ON_TRUE = frozenset(kind for kind in _TEST_KINDS if MOVES[kind][0] != 1)
+
 
 def specialize(graph: StateGraph) -> ProjectionReport:
     """Unfold a reachable state graph into a register-free program.
@@ -181,7 +188,7 @@ def specialize(graph: StateGraph) -> ProjectionReport:
                 # proceeds to the first slot on the reply that sends the
                 # source to pc+1 and skips to the second on the other.
                 first, second = targets[o], targets[o + 1]
-                if kind is NegTest:
+                if kind in _SKIP_ON_TRUE:
                     first, second = second, first
                 add(jump[starts[first] - at - 1])
                 add(jump[starts[second] - at - 2])
@@ -211,10 +218,6 @@ def _tree_size(levels: int) -> int:
     # One test per internal node, a branch jump per non-bottom node, two
     # leaf jumps per bottom node: 5 * 2^(levels-1) - 2 instructions.
     return 5 * 2 ** (levels - 1) - 2
-
-
-#: Direction of each jump kind in `dispatch_project`.
-_SIGN = {FwdJump: 1, IndFwdJump: 1, BwdJump: -1, IndBwdJump: -1}
 
 
 def _fresh_cell_prefix(p: Program) -> str:
@@ -247,7 +250,7 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
         # A bare test skips exactly one output instruction on its other
         # reply, so it stays bare only before a one-instruction block;
         # otherwise two jumps follow it.
-        if sizes[i + 1] != 1 and type(ins[i]) in (PosTest, NegTest):
+        if sizes[i + 1] != 1 and type(ins[i]) in _TEST_KINDS:
             sizes[i] = 3
     starts = list(accumulate(sizes, initial=1))
     if starts[-1] - 1 > params.state_limit:
@@ -301,9 +304,9 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
             for bit in range(bits - 1, -1, -1):
                 add(cell(Plain, u.register, bit, "set:T" if u.value >> bit & 1 else "set:F"))
         elif kind is IndFwdJump or kind is IndBwdJump:
-            tree(u.register, pos, _SIGN[kind], bits, 0, at)
+            tree(u.register, pos, MOVES[kind][0], bits, 0, at)
         elif kind is FwdJump or kind is BwdJump:
-            add(retarget(at, pos + _SIGN[kind] * u.distance) if u.distance else u)
+            add(retarget(at, pos + MOVES[kind][0] * u.distance) if u.distance else u)
         else:
             add(u)
             if size == 3:
@@ -332,8 +335,9 @@ def thread_jumps(p: Program) -> Program:
     src = p.instructions
     length = len(src)
     # Signed distance of the jump at each position, 0 for any other kind.
+    fwd, bwd = MOVES[FwdJump][0], MOVES[BwdJump][0]
     dist = [0] + [
-        u.distance if type(u) is FwdJump else -u.distance if type(u) is BwdJump else 0
+        fwd * u.distance if type(u) is FwdJump else bwd * u.distance if type(u) is BwdJump else 0
         for u in src
     ]
     # One input jump per distance, so the output shares them; distance 0

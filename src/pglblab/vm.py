@@ -29,6 +29,7 @@ from itertools import cycle, islice, repeat
 from typing import NamedTuple
 
 from .isa import (
+    BASIC_KINDS,
     BwdJump,
     FwdJump,
     Halt,
@@ -36,10 +37,8 @@ from .isa import (
     IndFwdJump,
     InputError,
     Instruction,
-    NegTest,
+    MOVES,
     PglbError,
-    Plain,
-    PosTest,
     Program,
     RegSet,
     ToolParams,
@@ -191,42 +190,34 @@ def _decode(u: Instruction, pc: int, length: int, cells: dict[str, bool]) -> tup
     times the direction `operand[1]`, so only its target is left open.
     """
     kind = type(u)
-    if kind is Plain or kind is PosTest or kind is NegTest:
-        # A test proceeds on True (+) or False (-) and skips one otherwise;
-        # a plain instruction proceeds on either reply.  A target outside
-        # the program deadlocks.
-        near = pc + 1 if pc < length else 0
-        far = pc + 2 if pc + 2 <= length else 0
-        on_true = far if kind is NegTest else near
-        on_false = far if kind is PosTest else near
+    try:
+        step_true, step_false = MOVES[kind]
+    except KeyError:
+        raise TypeError(f"not an instruction: {u!r}") from None
+    # A zero offset or a target outside the program deadlocks.
+    if kind in BASIC_KINDS:
+        on_true = to if step_true and 0 < (to := pc + step_true) <= length else 0
         true_event = _event(TraceEvent, (pc, u, True))
-        focus, method = u.basic.focus, u.basic.method
-        if focus not in cells and kind is Plain:
+        focus = u.basic.focus
+        if focus not in cells and step_true == step_false:
             # Without a cell, a plain instruction proceeds as if True were
             # produced.
-            return (_GO, true_event, near, true_event, near, None)
+            return (_GO, true_event, on_true, true_event, on_true, None)
+        on_false = to if step_false and 0 < (to := pc + step_false) <= length else 0
         false_event = _event(TraceEvent, (pc, u, False))
         if focus in cells:
+            method = u.basic.method
             law = (cell_reply(False, method), cell_reply(True, method))
             return (_CELL, true_event, on_true, false_event, on_false, (focus, law))
         return (_ASK, true_event, on_true, false_event, on_false, None)
     event = _event(TraceEvent, (pc, u, None))
-    if kind is FwdJump:
-        # A zero jump deadlocks, like a target outside the program.
-        target = pc + u.distance if 0 < u.distance <= length - pc else 0
-    elif kind is BwdJump:
-        target = pc - u.distance if 0 < u.distance < pc else 0
-    elif kind is RegSet:
-        operand = (u.register - 1, u.value)
-        target = pc + 1 if pc < length else 0
-        return (_SET, event, target, event, target, operand)
+    if kind is FwdJump or kind is BwdJump:
+        step_true *= u.distance
     elif kind is IndFwdJump or kind is IndBwdJump:
-        operand = (u.register - 1, 1 if kind is IndFwdJump else -1)
-        return (_IND, event, 0, event, 0, operand)
-    elif kind is Halt:
-        target = 0
-    else:
-        raise TypeError(f"not an instruction: {u!r}")
+        return (_IND, event, 0, event, 0, (u.register - 1, step_true))
+    target = to if step_true and 0 < (to := pc + step_true) <= length else 0
+    if kind is RegSet:
+        return (_SET, event, target, event, target, (u.register - 1, u.value))
     return (_GO, event, target, event, target, None)
 
 

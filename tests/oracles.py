@@ -404,7 +404,7 @@ def brute_force_mid(p: Program, params: ToolParams, depth: int) -> int:
         if prior is not None and prior <= steps:
             continue
         earliest[key] = steps
-        u = p.at(cfg.pc)
+        u = p.instructions[cfg.pc - 1]
         w = id_weight(u, aux)
         if w == 0:
             if opened and acc > best:
@@ -429,7 +429,7 @@ def replay_segment(p: Program, params: ToolParams, nodes: tuple[StateNode, ...])
     """
     assert nodes, "empty witness"
     for a, b in zip(nodes, nodes[1:]):
-        u = p.at(a.pc)
+        u = p.instructions[a.pc - 1]
         replies: tuple[bool, ...] = ()
         if isinstance(u, PosTest):
             replies = (b.pc == a.pc + 1,)
@@ -439,4 +439,4 @@ def replay_segment(p: Program, params: ToolParams, nodes: tuple[StateNode, ...])
         nxt, _ = step(p, cfg)
         assert nxt.status is Status.RUNNING, f"segment dies at {a}"
         assert (nxt.pc, nxt.registers) == (b.pc, b.registers), f"bad edge {a} -> {b}"
-    return sum(id_weight(p.at(n.pc), params.aux) for n in nodes[1:-1])
+    return sum(id_weight(p.instructions[n.pc - 1], params.aux) for n in nodes[1:-1])

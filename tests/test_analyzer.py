@@ -29,16 +29,17 @@ X_AUX = AuxSpec.parse("x.*")
 
 
 def decoded_edges(graph):
-    """{state: successor states in branch order}, decoded with `node`."""
+    """{state: successor states in branch order}, decoded by `decoder()`."""
+    node = graph.decoder()
     return {
-        graph.node(i): tuple(map(graph.node, graph.successors(i)))
+        node(i): tuple(map(node, graph.successors(i)))
         for i in range(graph.node_count)
     }
 
 
 def terminated(graph, edges):
     """States at a halt."""
-    return {n for n in edges if type(graph.program.at(n.pc)) is Halt}
+    return {n for n in edges if type(graph.program.instructions[n.pc - 1]) is Halt}
 
 
 def deadlocked(graph, edges):
@@ -47,7 +48,7 @@ def deadlocked(graph, edges):
     branches = {Halt: 0, PosTest: 2, NegTest: 2}
     return {
         n for n, succs in edges.items()
-        if len(succs) < branches.get(type(graph.program.at(n.pc)), 1)
+        if len(succs) < branches.get(type(graph.program.instructions[n.pc - 1]), 1)
     }
 
 
@@ -313,7 +314,7 @@ def test_enlarging_aux_only_lowers_mid_by_consuming_anchors(seed, length):
     big = AuxSpec.parse("f.*")
 
     def anchor_pcs(aux):
-        return {pc for pc in g.pcs() if id_weight(p.at(pc), aux) == 0}
+        return {pc for pc in g.pcs() if id_weight(p.instructions[pc - 1], aux) == 0}
 
     before = compute_mid(g, small).value
     after = compute_mid(g, big).value

@@ -205,7 +205,33 @@ def test_parse_error_reported(tmp_path, capsys):
     prog.write_text("f.m ;; !\n")
     code, _, stderr = invoke(capsys, "run", str(prog))
     assert code == 1
-    assert "pglblab:" in stderr
+    assert stderr == f"pglblab: {prog}:1:6: empty instruction\n"
+
+
+@pytest.mark.parametrize("bad_side", ["p", "q"])
+def test_check_names_the_input_that_does_not_parse(bad_side, tmp_path, capsys):
+    bad = tmp_path / "bad.pglb"
+    bad.write_text("f.m ; zz ; !\n")
+    good = tmp_path / "good.pglb"
+    good.write_text("f.m ; !\n")
+    pair = (bad, good) if bad_side == "p" else (good, bad)
+    code, stdout, stderr = invoke(capsys, "check", *map(str, pair))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"pglblab: {bad}:1:7: unrecognized instruction 'zz'\n"
+
+
+def test_a_parse_error_on_stdin_names_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("f.m ; zz"))
+    code, _, stderr = invoke(capsys, "mid", "-")
+    assert code == 1
+    assert stderr == "pglblab: <stdin>:1:7: unrecognized instruction 'zz'\n"
+
+
+def test_check_refuses_stdin_on_both_sides(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("f.m ; !"))
+    code, stdout, stderr = invoke(capsys, "check", "-", "-")
+    assert (code, stdout) == (1, "")
+    assert stderr == "pglblab: check reads stdin once: give at most one program as -\n"
 
 
 @pytest.mark.parametrize(
@@ -487,6 +513,15 @@ def test_config_maxr_above_cap_is_refused(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert stderr == "pglblab: maxr 1000000 exceeds 1000\n"
+
+
+@pytest.mark.parametrize(
+    "bounds", [["--maxr", "0", "--maxn", "0"], ["--maxr", "0"], ["--maxn", "0"]]
+)
+def test_gen_random_refuses_zero_bounds(capsys, bounds):
+    code, stdout, stderr = invoke(capsys, "gen", "random", "--seed", "1", "--len", "5", *bounds)
+    assert (code, stdout) == (1, "")
+    assert stderr == "pglblab: maxr and maxn must be >= 1\n"
 
 
 def test_gen_random_maxr_above_cap_is_refused(capsys):

@@ -27,9 +27,6 @@ def test_family_params():
     assert fp.k == 3
     assert fp.maxr == 2
     assert fp.maxn == 2 * 8 + 1
-    assert fp.branch_foci == tuple(f"a{i}" for i in range(1, 9))
-    assert fp.final_foci == tuple(f"ap{i}" for i in range(1, 9))
-    assert fp.test_focus == "bool1"
     assert validate(p, fp.tool_params()) == []
 
 

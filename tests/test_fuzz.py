@@ -8,7 +8,8 @@ family members up to k=3, random programs up to 50 instructions and
 write: the work directory, an existing file, a missing directory and, when
 permissions bind (not as root), a read-only directory.  Explicit examples
 run one input per kind of refusal on every run, `bench --kmax` out of
-range and each kind of unwritable path among them.
+range and each kind of unwritable path among them.  A negative value of
+each flag that sets a step or state limit must be refused in one line.
 """
 import contextlib
 import io
@@ -16,6 +17,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pglblab.cli import main
@@ -95,9 +97,42 @@ def command_lines(draw):
     return argv, files
 
 
+def refusal_case(text, *argv):
+    """`argv` on p.pglb holding `text`."""
+    return [argv[0], "{dir}/p.pglb", *argv[1:]], {"p.pglb": text, "q.pglb": "!"}
+
+
 def refusal(text, *argv):
     """An explicit example: `argv` on p.pglb holding `text`."""
-    return example(case=([argv[0], "{dir}/p.pglb", *argv[1:]], {"p.pglb": text, "q.pglb": "!"}))
+    return example(case=refusal_case(text, *argv))
+
+
+def run_case(case):
+    """(exit code, stdout, stderr, work directory) of one (argv, files) case
+    run in a fresh work directory, which is removed afterwards."""
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, text in files.items():
+            (directory / name).write_text(text)
+        (directory / "ro").mkdir(mode=0o555)
+        argv = [arg.replace("{dir}", tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse usage errors
+                code = e.code
+    return code, out.getvalue(), err.getvalue(), directory
+
+
+#: A negative step or state limit, by each flag that sets one.
+NEGATIVE_LIMITS = [
+    ("run", "--steps", "-5"),
+    ("run", "--step-limit", "-3"),
+    ("mid", "--state-limit", "-1"),
+    ("project", "--mode", "dispatch", "--out-dir", "{dir}", "--state-limit", "-1"),
+]
 
 
 @settings(max_examples=200, deadline=None)
@@ -122,21 +157,17 @@ def refusal(text, *argv):
 @example(case=(["gen", "family", "--k", "1", "--out", "{dir}/nodir/x.pglb"], {}))
 @example(case=(["bench", "--kmax", "1", "--md", "--out", "{dir}/nodir/b.csv"], {}))
 def test_random_command_lines_end_in_a_result_or_a_diagnostic(case):
+    code, _, err, directory = run_case(case)
     argv, files = case
-    with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(tmp)
-        for name, text in files.items():
-            (directory / name).write_text(text)
-        (directory / "ro").mkdir(mode=0o555)
-        argv = [arg.replace("{dir}", tmp) for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as e:  # argparse usage errors
-                code = e.code
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
         prefixes = ("pglblab: ",) + tuple(f"{directory / name}: position " for name in files)
-        for line in err.getvalue().splitlines():
+        for line in err.splitlines():
             assert line.startswith(prefixes), (argv, line)
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_LIMITS, ids=lambda argv: argv[0] + argv[-2])
+def test_a_negative_limit_is_refused_in_one_line(argv):
+    code, out, err, _ = run_case(refusal_case("f.m ; !", *argv))
+    assert (code, out) == (1, "")
+    assert err == "pglblab: step and state limits must be >= 0\n"

@@ -1,3 +1,5 @@
+from typing import get_args
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,8 @@ from pglblab.isa import (
     Halt,
     IndBwdJump,
     IndFwdJump,
+    Instruction,
+    MOVES,
     NegTest,
     ParseError,
     Plain,
@@ -42,6 +46,10 @@ def test_parse_all_instruction_kinds():
     )
 
 
+def test_moves_holds_every_instruction_kind():
+    assert set(MOVES) == set(get_args(Instruction))
+
+
 def test_render_round_trip_canonical():
     p = parse_program(ALL_KINDS_TEXT)
     assert render_program(p) == ALL_KINDS_TEXT
@@ -61,8 +69,8 @@ def test_parse_accepts_newlines_and_comments():
 
 def test_parse_methods_with_colon_segments():
     p = parse_program("bool1.set:T ; bool1.set:F ; !")
-    assert p.at(1) == Plain(BasicInstruction("bool1", "set:T"))
-    assert p.at(2).basic.method == "set:F"
+    assert p.instructions[0] == Plain(BasicInstruction("bool1", "set:T"))
+    assert p.instructions[1].basic.method == "set:F"
 
 
 def test_parse_error_carries_position():
@@ -115,9 +123,7 @@ def test_reserved_focus_rejected():
 
 def test_set_and_i_prefixes_never_lex_as_foci():
     p = parse_program("set:2:7 ; i#1 ; i\\#2 ; !")
-    assert p.at(1) == RegSet(2, 7)
-    assert p.at(2) == IndFwdJump(1)
-    assert p.at(3) == IndBwdJump(2)
+    assert p.instructions[:3] == (RegSet(2, 7), IndFwdJump(1), IndBwdJump(2))
 
 
 def test_constructor_bounds():
@@ -134,13 +140,9 @@ def test_constructor_bounds():
 
 
 def test_program_positions_are_one_based():
-    p = parse_program("f.m ; !")
-    assert p.at(1) == Plain(BasicInstruction("f", "m"))
-    assert p.at(2) == Halt()
-    with pytest.raises(IndexError):
-        p.at(0)
-    with pytest.raises(IndexError):
-        p.at(3)
+    p = parse_program("f.m ; set:3:1")
+    assert p.instructions == (Plain(BasicInstruction("f", "m")), RegSet(3, 1))
+    assert [d.position for d in validate(p, ToolParams(maxr=1))] == [2]
     with pytest.raises(ValueError):
         Program(())
 

@@ -94,7 +94,8 @@ def test_specialize_pos_test_block():
     report = specialize(graph)
     assert render_program(report.output) == "+f.m ; #2 ; #2 ; ! ; #0"
     blocks = relocation_blocks(report)
-    assert {graph.node(i): block for i, block in enumerate(blocks)} == {
+    node = graph.decoder()
+    assert {node(i): block for i, block in enumerate(blocks)} == {
         StateNode(1, (0,)): (1, 3),
         StateNode(2, (0,)): (4, 1),
         StateNode(3, (0,)): (5, 1),
@@ -489,8 +490,9 @@ def test_specialize_relocation_csv_renders_each_state():
         graph = build_state_graph(p, params)
         report = specialize(graph)
         rows = ["old_key,new_start,new_len"]
+        node = graph.decoder()
         for i, (start, size) in enumerate(relocation_blocks(report)):
-            pc, registers = graph.node(i)
+            pc, registers = node(i)
             rows.append(f"{pc}:{'-'.join(map(str, registers))},{start},{size}")
         assert report.relocation.to_csv() == "\n".join(rows) + "\n", str(p)
 
@@ -593,7 +595,7 @@ def step_reply_prefixes(p, params, depth, step_limit):
         if cfg.status is not Status.RUNNING or steps >= step_limit:
             seqs.add(sigma)
             continue
-        u = p.at(cfg.pc)
+        u = p.instructions[cfg.pc - 1]
         if isinstance(u, (PosTest, NegTest)) and u.basic.focus not in cfg.cells:
             if len(sigma) >= depth:
                 seqs.add(sigma)

@@ -573,6 +573,12 @@ def test_step_leaves_its_input_configuration_unchanged():
     assert second.oracle._index == 0 and third.oracle._index == 1
 
 
+def test_step_rejects_a_non_instruction():
+    cfg = MachineConfig(1, (0,), {}, Scripted(()))
+    with pytest.raises(TypeError, match="^not an instruction: 'f.m'$"):
+        step(Program(("f.m",)), cfg)
+
+
 @pytest.mark.parametrize("pc", [0, -1, 3])
 def test_step_rejects_a_position_outside_the_program(pc):
     p = parse_program("f.m ; !")
