@@ -39,7 +39,7 @@ class ParseError(PglbError, ValueError):
         super().__init__(f"{line}:{column}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasicInstruction:
     """A focus.method pair naming one request to the execution environment."""
 
@@ -58,28 +58,28 @@ class BasicInstruction:
         return f"{self.focus}.{self.method}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plain:
     """Execute the basic instruction and proceed regardless of its reply."""
 
     basic: BasicInstruction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosTest:
     """Execute the basic instruction; on True proceed, on False skip one."""
 
     basic: BasicInstruction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NegTest:
     """Execute the basic instruction; on False proceed, on True skip one."""
 
     basic: BasicInstruction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FwdJump:
     distance: int
 
@@ -88,7 +88,7 @@ class FwdJump:
             raise ValueError("jump distance must be a natural number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BwdJump:
     distance: int
 
@@ -97,7 +97,7 @@ class BwdJump:
             raise ValueError("jump distance must be a natural number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegSet:
     """Store a positive literal into a register and proceed."""
 
@@ -111,7 +111,7 @@ class RegSet:
             raise ValueError("register literal must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndFwdJump:
     """Forward jump whose distance is read from a register."""
 
@@ -122,7 +122,7 @@ class IndFwdJump:
             raise ValueError("register index must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndBwdJump:
     """Backward jump whose distance is read from a register."""
 
@@ -133,7 +133,7 @@ class IndBwdJump:
             raise ValueError("register index must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Halt:
     """Terminate execution successfully."""
 
@@ -265,19 +265,36 @@ def parse_program(text: str) -> Program:
     instruction object.  Chunks are taken in order of first occurrence,
     so the first one that fails is also the first failing instruction in
     the text.
+
+    A direct jump, `#` or `\\#` and digits that `str.isdecimal` accepts
+    as the grammar's `\\d` does, is built in place, without the regular
+    expression or the dataclass constructor: digits never fail its check.
     """
     stripped = _strip_comments(text)
     chunks = stripped.split(";")
     built: dict[str, Instruction] = {}
     of_chunk: dict[str, Instruction] = {}
+    new = object.__new__
+    assign = object.__setattr__
     for chunk in dict.fromkeys(chunks):
         body = chunk.strip()
         u = built.get(body)
         if u is None:
             try:
-                u = built[body] = _parse_instruction(body)
+                # int() refuses more than 4,300 digits with a ValueError,
+                # located below like any other fault.
+                head = body[:1]
+                if head == "#" and (digits := body[1:]).isdecimal():
+                    u = new(FwdJump)
+                    assign(u, "distance", int(digits))
+                elif head == "\\" and body[1:2] == "#" and (digits := body[2:]).isdecimal():
+                    u = new(BwdJump)
+                    assign(u, "distance", int(digits))
+                else:
+                    u = _parse_instruction(body)
             except ValueError as exc:
                 raise _located(str(exc), stripped, chunks, chunks.index(chunk)) from None
+            built[body] = u
         of_chunk[chunk] = u
     return Program(tuple(map(of_chunk.__getitem__, chunks)))
 

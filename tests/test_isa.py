@@ -1,8 +1,10 @@
+import random
 from typing import get_args
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pglblab import isa
 from pglblab.isa import (
     AuxSpec,
     BasicInstruction,
@@ -279,3 +281,79 @@ def test_tool_params_cap_the_step_limit():
     assert ToolParams(step_limit=MAX_STEP_LIMIT).step_limit == MAX_STEP_LIMIT
     with pytest.raises(ValueError, match="exceeds 1000000"):
         ToolParams(step_limit=MAX_STEP_LIMIT + 1)
+
+
+# --- direct jumps: built in place, as the regular expression would ---
+
+
+def regex_parse(text: str) -> Program:
+    """`parse_program` with every chunk parsed by `_INSTR_SYNTAX`."""
+    stripped = isa._strip_comments(text)
+    chunks = stripped.split(";")
+    out = []
+    for index, chunk in enumerate(chunks):
+        try:
+            out.append(isa._parse_instruction(chunk.strip()))
+        except ValueError as exc:
+            raise isa._located(str(exc), stripped, chunks, index) from None
+    return Program(tuple(out))
+
+
+def parse_outcome(parse, text):
+    try:
+        p = parse(text)
+    except ParseError as e:
+        return ("refused", e.line, e.column, str(e))
+    return [(type(u), u) for u in p.instructions]
+
+
+#: Texts at the edge of the jump grammar: Unicode decimal digits (Arabic-
+#: Indic three, fullwidth twelve), a superscript two, which `\d` refuses,
+#: no digits, a sign, an underscore, and leading zeros.
+_JUMP_EDGES = ("#٣", "#１２", "#²", "#", "\\#", "#+1", "#1_0", "#0012", "\\#٣", "\\#²",
+               "\\#+1", "\\#1_0", "\\#0012", "#-1", "\\", "\\ #1", "# 1", "##1", "\\#\\#1")
+
+
+def test_jump_edges_parse_as_the_regular_expression_does():
+    for body in _JUMP_EDGES:
+        for around in ("{} ; !", "f.m ;\n  {}\n; !", "f.m ; \t{}  ", "{}"):
+            text = around.format(body)
+            assert parse_outcome(parse_program, text) == parse_outcome(regex_parse, text), text
+
+
+def test_generated_jumps_parse_as_the_regular_expression_does():
+    rng = random.Random(29)
+    digits = ("0", "7", "٣", "１")
+    pieces = digits * 6 + ("#", "\\#", "\\", "i#", "²", "+", "_", " ", "\n", "x", "!")
+    outcomes = set()
+    for _ in range(600):
+        bodies = [
+            rng.choice(("#", "\\#", "")) + "".join(rng.choices(pieces, k=rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        text = " ; ".join(bodies) + rng.choice(("", " ; !", "\n"))
+        got = parse_outcome(parse_program, text)
+        assert got == parse_outcome(regex_parse, text), text
+        outcomes |= {got[0]} if isinstance(got, tuple) else {kind for kind, _ in got}
+    assert outcomes >= {"refused", FwdJump, BwdJump, Halt}
+
+
+def test_a_jump_over_the_int_digit_limit_is_a_located_parse_error():
+    text = "f.m ;\n #" + "9" * 5000 + " ; !"
+    for body in ("#", "\\#"):
+        got = parse_outcome(parse_program, text.replace("#", body))
+        assert got == parse_outcome(regex_parse, text.replace("#", body))
+        assert got[:3] == ("refused", 2, 2)
+
+
+def test_each_distinct_jump_text_is_one_object():
+    p = parse_program("#3 ; \\#3 ;#3\n; #3 // note\n; \\#3 ; #03 ; \\#3")
+    first, back, *rest = p.instructions
+    assert [u is first for u in rest] == [True, True, False, False, False]
+    assert rest[3] == first and rest[2] is back is rest[4]
+    assert (first, back) == (FwdJump(3), BwdJump(3)) and hash(first) == hash(FwdJump(3))
+    assert repr(back) == "BwdJump(distance=3)"
+    with pytest.raises(AttributeError):
+        first.distance = 4
+    with pytest.raises(ValueError):
+        BwdJump(-1)
