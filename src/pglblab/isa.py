@@ -215,26 +215,25 @@ def render_program(p: Program) -> str:
     return " ; ".join(map(text.__getitem__, ids))
 
 
-# One alternative per instruction form.  The forms are disjoint (only a
-# basic instruction has a '.'), and the last group of each is named after
-# its form, so `lastgroup` says which one matched.
+# One alternative per instruction form but the direct jumps, which
+# `parse_program` reads itself.  The forms are disjoint (only a basic
+# instruction has a '.'), and the last group of each is named after its
+# form, so `lastgroup` says which one matched.
 _INSTR_SYNTAX = re.compile(
     r"(?P<halt>!)"
     r"|set:(?P<reg>\d+):(?P<set>\d+)"
     r"|i#(?P<ifwd>\d+)"
     r"|i\\#(?P<ibwd>\d+)"
-    r"|#(?P<fwd>\d+)"
-    r"|\\#(?P<bwd>\d+)"
     r"|(?P<sign>[+-]?)(?P<focus>[a-z][a-z0-9]*)\.(?P<basic>[a-zA-Z][a-zA-Z0-9]*(?::[a-zA-Z0-9]+)*)"
 )
 _BASIC_KINDS = {"": Plain, "+": PosTest, "-": NegTest}
+#: The text before the `#` of a direct jump -> its kind.
+_DIRECT_JUMPS = {"": FwdJump, "\\": BwdJump}
 _INSTR_BUILD: dict[str, Callable[[re.Match[str]], Instruction]] = {
     "halt": lambda m: Halt(),
     "set": lambda m: RegSet(int(m["reg"]), int(m["set"])),
     "ifwd": lambda m: IndFwdJump(int(m["ifwd"])),
     "ibwd": lambda m: IndBwdJump(int(m["ibwd"])),
-    "fwd": lambda m: FwdJump(int(m["fwd"])),
-    "bwd": lambda m: BwdJump(int(m["bwd"])),
     "basic": lambda m: _BASIC_KINDS[m["sign"]](BasicInstruction(m["focus"], m["basic"])),
 }
 
@@ -266,9 +265,11 @@ def parse_program(text: str) -> Program:
     so the first one that fails is also the first failing instruction in
     the text.
 
-    A direct jump, `#` or `\\#` and digits that `str.isdecimal` accepts
-    as the grammar's `\\d` does, is built in place, without the regular
-    expression or the dataclass constructor: digits never fail its check.
+    A direct jump is `#` or `\\#` and digits: the text before its first
+    `#` names the kind, and `str.isdecimal` accepts exactly the digits
+    that `\\d` accepts in the other forms.  It is built in place, without
+    the dataclass constructor, whose one check, a negative distance,
+    digits never fail.
     """
     stripped = _strip_comments(text)
     chunks = stripped.split(";")
@@ -276,19 +277,18 @@ def parse_program(text: str) -> Program:
     of_chunk: dict[str, Instruction] = {}
     new = object.__new__
     assign = object.__setattr__
+    direct = _DIRECT_JUMPS.get
     for chunk in dict.fromkeys(chunks):
         body = chunk.strip()
         u = built.get(body)
         if u is None:
             try:
-                # int() refuses more than 4,300 digits with a ValueError,
-                # located below like any other fault.
-                head = body[:1]
-                if head == "#" and (digits := body[1:]).isdecimal():
-                    u = new(FwdJump)
-                    assign(u, "distance", int(digits))
-                elif head == "\\" and body[1:2] == "#" and (digits := body[2:]).isdecimal():
-                    u = new(BwdJump)
+                head, _, digits = body.partition("#")
+                kind = direct(head)
+                if kind is not None and digits.isdecimal():
+                    # int() refuses more than 4,300 digits with a
+                    # ValueError, located below like any other fault.
+                    u = new(kind)
                     assign(u, "distance", int(digits))
                 else:
                     u = _parse_instruction(body)

@@ -448,8 +448,8 @@ def _oracle_runs(p: Program, q: Program, params: ToolParams, suite: OracleSuite)
         for x, (obs, final, end, steps) in zip((p, q), sides):
             if final is None:
                 cfg = MachineConfig(end.pc, end.registers, end.cells, Scripted(sigma[-1:]))
-                events, final, end, lap = execute(x, cfg, budget - steps)
-                obs += observable_events(events, aux, lap)
+                events, final, end = execute(x, cfg, budget - steps)
+                obs += observable_events(events, aux)
                 steps += len(events)
                 stopped = stopped or final is not None
             now.append((obs, final, end, steps))
@@ -470,8 +470,8 @@ def _oracle_runs(p: Program, q: Program, params: ToolParams, suite: OracleSuite)
         for x, (obs, final, end, steps) in zip((p, q), kept[path[:d]]):
             if final is None:
                 cfg = MachineConfig(end.pc, end.registers, end.cells, oracle.at(d))
-                events, final, _, lap = execute(x, cfg, budget - steps)
-                obs += observable_events(events, aux, lap)
+                events, final, _ = execute(x, cfg, budget - steps)
+                obs += observable_events(events, aux)
             runs.append((obs, final))
         yield f"seeded:{oracle.seed}", runs[0], runs[1]
 

@@ -19,15 +19,13 @@ transfers with Brent's cycle detection (BIT 1980).  When a state comes
 back, the events since its first visit repeat for ever: whole laps are
 appended at once, and only the rest, shorter than one lap, is stepped.
 The events, final status and end configuration are those of stepping.
-`execute` also says where the laps are, so `observable_events` and
-`trace_text` read one lap and repeat what they make of it.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, cycle, islice, repeat
+from itertools import cycle, islice, repeat
 from typing import NamedTuple
 
 from .isa import (
@@ -141,17 +139,10 @@ class TraceEvent(NamedTuple):
     reply: bool | None
 
 
-#: Where `execute` fast-forwarded: events[start:start + length], the
-#: first lap, is followed by `count` copies of itself.
-Lap = tuple[int, int, int]  # (start, length, count)
-
-
 @dataclass(frozen=True)
 class Trace:
     events: tuple[TraceEvent, ...]
     final: Status
-    #: The run's fast-forward, if any; equality ignores it.
-    lap: Lap | None = field(default=None, compare=False)
 
 
 class ObservableEvent(NamedTuple):
@@ -232,21 +223,19 @@ def _decode(u: Instruction, pc: int, length: int, cells: dict[str, bool]) -> tup
 
 def execute(
     p: Program, cfg: MachineConfig, limit: int
-) -> tuple[list[TraceEvent], Status | None, MachineConfig, Lap | None]:
+) -> tuple[list[TraceEvent], Status | None, MachineConfig]:
     """Run from `cfg` for at most `limit` steps: the interpreter itself.
 
-    Returns (events, final, end, lap).  `final` is TERMINATED or DEADLOCKED
-    when the run stopped on its own, STEP_LIMIT after `limit` steps, and
-    None when a test needed a reply the oracle does not have; that test is
-    not executed.  `end` is the configuration where the run stopped, with
-    the oracle advanced past the replies it used.
+    Returns (events, final, end).  `final` is TERMINATED or DEADLOCKED when
+    the run stopped on its own, STEP_LIMIT after `limit` steps, and None
+    when a test needed a reply the oracle does not have; that test is not
+    executed.  `end` is the configuration where the run stopped, with the
+    oracle advanced past the replies it used.
 
     Each position the run reaches is decoded once into a step rule that
     holds its events (one per outcome, shared by every visit) and targets.
     A reply-free cycle is found at backward transfers and fast-forwarded
-    by whole laps (module docstring); `lap` says where, and is None when
-    no state came back.  That happens at most once a call, since less
-    than one lap of steps is left after it.
+    by whole laps (module docstring).
     """
     if cfg.status is not Status.RUNNING:
         raise ValueError("cannot step a configuration that is not running")
@@ -265,7 +254,6 @@ def execute(
     rules: dict[int, tuple] = {}
     rule_at = rules.get
     final: Status | None = Status.STEP_LIMIT
-    lap = None
     # Brent's method over the states at backward transfers since the last
     # one that followed a reply: `saved` and the event count `saved_at`
     # where it was taken, re-taken after `left` more transfers, `span`
@@ -312,19 +300,17 @@ def execute(
                 state = (target, tuple(registers), tuple(cells.values()))
                 if state == saved:
                     # Whole laps of the events since `saved`, then step on.
-                    length = len(events) - saved_at
-                    count = (limit - len(events)) // length
-                    ahead = count * length
+                    lap = len(events) - saved_at
+                    ahead = (limit - len(events)) // lap * lap
                     events += islice(cycle(events[saved_at:]), ahead)
                     next(islice(ticks, ahead, ahead), None)
-                    lap = (saved_at, length, count)
                 elif left > 1:
                     left -= 1
                 else:
                     saved, saved_at, left, span = state, len(events), span, span * 2
         pc = target
     status = final if pc == 0 else Status.RUNNING
-    return events, final, MachineConfig(pc, tuple(registers), cells, oracle.at(index), status), lap
+    return events, final, MachineConfig(pc, tuple(registers), cells, oracle.at(index), status)
 
 
 def step(p: Program, cfg: MachineConfig) -> tuple[MachineConfig, TraceEvent]:
@@ -333,7 +319,7 @@ def step(p: Program, cfg: MachineConfig) -> tuple[MachineConfig, TraceEvent]:
     Requires cfg.status == RUNNING; raises OracleExhausted when the
     instruction is a test the oracle has no reply for.
     """
-    events, final, end, _ = execute(p, cfg, 1)
+    events, final, end = execute(p, cfg, 1)
     if final is None:
         raise end.oracle.exhausted()
     return end, events[0]
@@ -342,30 +328,20 @@ def step(p: Program, cfg: MachineConfig) -> tuple[MachineConfig, TraceEvent]:
 def run(p: Program, params: ToolParams, oracle: ReplyOracle) -> Trace:
     """Run from position 1 until termination, deadlock, or the step limit."""
     require_valid(p, params)
-    events, final, end, lap = execute(p, initial_config(p, params, oracle), params.step_limit)
+    events, final, end = execute(p, initial_config(p, params, oracle), params.step_limit)
     if final is None:
         raise end.oracle.exhausted()
-    return Trace(tuple(events), final, lap)
+    return Trace(tuple(events), final)
 
 
 def observable_events(
-    events: tuple[TraceEvent, ...], aux, lap: Lap | None = None
+    events: tuple[TraceEvent, ...], aux
 ) -> tuple[ObservableEvent, ...]:
     """Project trace events to non-aux basic-instruction requests.
 
     Each distinct event object is projected once: `execute` shares one
-    per position and outcome, so a long run holds few of them.  Given the
-    `lap` that `execute` returned with the events, the copies of the
-    first lap are not read; its projection is repeated.
+    per position and outcome, so a long run holds few of them.
     """
-    if lap is not None:
-        start, length, count = lap
-        skip = start + length
-        return (
-            observable_events(events[:skip], aux)
-            + observable_events(events[start:skip], aux) * count
-            + observable_events(events[skip + length * count:], aux)
-        )
     projected: dict[int, ObservableEvent | None] = {}
     out = []
     for ev in events:
@@ -385,19 +361,14 @@ def observable_events(
 
 
 def trace_text(t: Trace) -> str:
-    """Line-oriented trace serialization, one event per line.  The laps
-    `execute` fast-forwarded are rendered once and repeated."""
-    events = t.events
-    start, length, count = t.lap or (len(events), 0, 0)
-    skip = start + length
+    """Line-oriented trace serialization, one event per line."""
     prefixes: dict[int, str] = {}
     lines = []
-    for position, instruction, reply in chain(events[:skip], events[skip + length * count:]):
+    for position, instruction, reply in t.events:
         prefix = prefixes.get(position)
         if prefix is None:
             prefix = prefixes[position] = f"{position} {render_instruction(instruction)}"
         lines.append(prefix if reply is None else prefix + (" reply=T" if reply else " reply=F"))
-    lines[skip:skip] = lines[start:skip] * count
     lines.append(f"status={t.final.value}")
     return "\n".join(lines) + "\n"
 

@@ -1,4 +1,5 @@
 import random
+import re
 from typing import get_args
 
 import pytest
@@ -283,17 +284,27 @@ def test_tool_params_cap_the_step_limit():
         ToolParams(step_limit=MAX_STEP_LIMIT + 1)
 
 
-# --- direct jumps: built in place, as the regular expression would ---
+# --- direct jumps: built in place, as their regular expression would ---
+
+
+#: The grammar's direct jumps, as `cmdbench/refsem.py` writes them.
+_DIRECT_JUMP = re.compile(r"(\\?)#(\d+)")
 
 
 def regex_parse(text: str) -> Program:
-    """`parse_program` with every chunk parsed by `_INSTR_SYNTAX`."""
+    """`parse_program` one chunk at a time, each direct jump matched by
+    `_DIRECT_JUMP` and built by its constructor."""
     stripped = isa._strip_comments(text)
     chunks = stripped.split(";")
     out = []
     for index, chunk in enumerate(chunks):
+        body = chunk.strip()
         try:
-            out.append(isa._parse_instruction(chunk.strip()))
+            m = _DIRECT_JUMP.fullmatch(body)
+            if m is None:
+                out.append(isa._parse_instruction(body))
+            else:
+                out.append((BwdJump if m[1] else FwdJump)(int(m[2])))
         except ValueError as exc:
             raise isa._located(str(exc), stripped, chunks, index) from None
     return Program(tuple(out))
@@ -355,5 +366,6 @@ def test_each_distinct_jump_text_is_one_object():
     assert repr(back) == "BwdJump(distance=3)"
     with pytest.raises(AttributeError):
         first.distance = 4
-    with pytest.raises(ValueError):
-        BwdJump(-1)
+    for kind in (FwdJump, BwdJump):
+        with pytest.raises(ValueError):
+            kind(-1)

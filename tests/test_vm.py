@@ -24,15 +24,8 @@ from pglblab.isa import (
     parse_program,
     render_instruction,
 )
-import pglblab.projector as projector
 import pglblab.vm as vm
-from pglblab.projector import (
-    OracleSuite,
-    check_equivalence,
-    dispatch_project,
-    specialize,
-    thread_jumps,
-)
+from pglblab.projector import dispatch_project, specialize, thread_jumps
 from pglblab.vm import (
     MachineConfig,
     ObservableEvent,
@@ -359,18 +352,13 @@ def test_run_equals_step_by_step_replay(cells, aux):
 
 
 def execute_outcome(interpreter, p, cfg, limit):
-    """(comparable result, end configuration or None) of one call.  The
-    reference returns no lap; where `execute` returns one, the events
-    really repeat there."""
+    """(comparable result, end configuration or None) of one call."""
     try:
-        events, final, end, *lap = interpreter(p, cfg, limit)
+        events, final, end = interpreter(p, cfg, limit)
     except UnknownCellMethod as e:
         return ("raised", str(e)), None
     # One event object per position and outcome within a call.
     assert len(set(map(id, events))) == len({(e.position, e.reply) for e in events})
-    for start, length, count in filter(None, lap):
-        first = events[start:start + length]
-        assert length > 0 and events[start:start + length * (count + 1)] == first * (count + 1)
     shown = [(e.position, render_instruction(e.instruction), e.reply) for e in events]
     state = (end.pc, end.registers, end.cells, end.status, end.oracle._index)
     return (shown, final, state), end
@@ -463,8 +451,9 @@ def test_execute_matches_the_reference_on_service_loops(k):
 
 #: The `corpus` benchmark's five programs that loop before their first
 #: reply (maxr 2, maxn 3), then hand-made ones: the shortest such loop, a
-#: lap of two passes that toggles a bound cell, and a lap holding an
-#: unbound plain instruction, observable but needing no reply.
+#: lap of two passes that toggles a bound cell, a lap holding an unbound
+#: plain instruction, observable but needing no reply, and a lap shorter
+#: than the program whose indirect jump lands past the lap's length.
 LOOPERS = (
     "set:1:1 ; \\#1 ; \\#5 ; -h.n ; ! ; set:2:2",
     "-bool1.get ; set:2:1 ; set:1:2 ; set:2:1 ; \\#3 ; set:1:3",
@@ -474,6 +463,7 @@ LOOPERS = (
     "set:1:1 ; i\\#1 ; !",
     "+bool1.get ; #3 ; bool1.set:T ; \\#3 ; bool1.set:F ; \\#5",
     "+g.n ; f.m ; set:1:1 ; \\#2",
+    "set:1:3 ; i#1 ; ! ; ! ; \\#4",
 )
 
 
@@ -561,57 +551,6 @@ def test_observable_events_match_a_per_event_projection(aux):
     for project in (observable_events, reference_observable_events):
         with pytest.raises(AssertionError):
             project(unanswered, lambda b: False)
-
-
-def reference_trace_text(events, final) -> str:
-    """`trace_text` one event at a time."""
-    lines = [
-        f"{e.position} {render_instruction(e.instruction)}"
-        + ("" if e.reply is None else " reply=T" if e.reply else " reply=F")
-        for e in events
-    ]
-    return "\n".join(lines + [f"status={final.value}"]) + "\n"
-
-
-def test_laps_are_rendered_and_projected_as_every_event():
-    # Each looper and its projections, under its own aux marks and with
-    # f.* marked too, so a lap holds observables or not: limits around
-    # the first detection and whole laps after it, and 4,096.
-    for name, p, params in looper_runs():
-        cfg = initial_config(p, params, Seeded(3))
-        first = next(n for n in count(1) if execute(p, cfg, n)[3] is not None)
-        start, length, _ = execute(p, cfg, first)[3]
-        assert start + length == first, name
-        limits = {4096} | {first + k * length + d for k in (0, 1, 2, 7, 64) for d in (-1, 0, 1)}
-        for limit in sorted(limits):
-            t = run(p, replace(params, step_limit=limit), Seeded(3))
-            assert (t.lap is None) == (limit < first) and t.final is Status.STEP_LIMIT
-            assert trace_text(t) == reference_trace_text(t.events, t.final), (name, limit)
-            for aux in (params.aux, params.aux.union(AuxSpec.parse("f.*"))):
-                assert observable_events(t.events, aux, t.lap) == reference_observable_events(
-                    t.events, aux
-                ), (name, limit)
-
-
-def test_check_runs_on_loopers_do_not_depend_on_laps(monkeypatch):
-    # `check`'s runs and verdicts against the same walk with every event
-    # projected, the laps ignored.
-    suite = OracleSuite(exhaustive_depth=4)
-    runs = list(looper_runs())
-    pairs = [(runs[i][1], q, q_params) for i in range(0, len(runs), 3)
-             for _, q, q_params in runs[i + 1:i + 3]]
-
-    def results():
-        return [(list(projector._oracle_runs(p, q, q_params, suite)),
-                 check_equivalence(p, q, q_params, suite)) for p, q, q_params in pairs]
-
-    got = results()
-    assert sum(verdict.inconclusive for _, verdict in got) > 0
-    assert any(obs for oracle_runs, _ in got for _, (obs, _), _ in oracle_runs)
-    monkeypatch.setattr(
-        projector, "observable_events", lambda events, aux, lap: observable_events(events, aux)
-    )
-    assert results() == got
 
 
 def test_oracle_exhausted_message_counts_used_replies():
