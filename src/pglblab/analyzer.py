@@ -38,6 +38,7 @@ from .isa import (
     Program,
     RegSet,
     ToolParams,
+    per_object,
     require_valid,
 )
 
@@ -155,12 +156,7 @@ def build_state_graph(p: Program, params: ToolParams) -> StateGraph:
 
     # Each distinct instruction object is decoded once, into one rule tuple
     # that all its positions share.
-    decoded: dict[int, tuple] = {}
-    known, keep = decoded.get, decoded.setdefault
-    rules = [_NO_SUCCESSOR] + [
-        rule if (rule := known(id(u))) is not None else keep(id(u), _rule(u, base, radix))
-        for u in ins
-    ]
+    rules = [_NO_SUCCESSOR] + per_object(ins, lambda u: _rule(u, base, radix))
     # An outcome past the last position deadlocks: a test at length - 1
     # keeps only its pc+1 branch, and a test or a register set at `length`
     # has no successor.  _STEP targets are checked per state.
@@ -262,12 +258,7 @@ def compute_mid(graph: StateGraph, aux: AuxPredicate) -> MidResult:
     sides, so MID is unbounded; a single state gets the segment DP.
     """
     # Each distinct instruction object is weighed once.
-    weights: dict[int, int] = {}
-    known, weigh = weights.get, weights.setdefault
-    wpc = [0] + [
-        weight if (weight := known(id(u))) is not None else weigh(id(u), id_weight(u, aux))
-        for u in graph.program.instructions
-    ]
+    wpc = [0] + per_object(graph.program.instructions, lambda u: id_weight(u, aux))
     base = len(wpc)
     w = [wpc[c % base] for c in graph.codes]
     offsets, targets = graph.offsets, graph.targets

@@ -71,8 +71,9 @@ def _bench_one(k: int, base: ToolParams) -> BenchRow:
     flag = 0
 
     t = time.perf_counter()
-    p, fp = gen_scaling_family(k)
-    params = fp.tool_params(
+    p, params = gen_scaling_family(k)
+    params = replace(
+        params,
         aux=base.aux,
         step_limit=base.step_limit,
         state_limit=base.state_limit,

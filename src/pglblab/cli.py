@@ -31,14 +31,13 @@ from .bench import bench_family, to_csv, to_json, to_markdown
 from .family import gen_scaling_family, gen_random
 from .isa import (
     AuxSpec,
-    IndBwdJump,
-    IndFwdJump,
     InvalidProgram,
     ParseError,
     PglbError,
     Program,
     RegSet,
     ToolParams,
+    WITH_REGISTER,
     parse_program,
     render_program,
 )
@@ -120,8 +119,9 @@ def _open_untruncated(path, flags: int) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _write_files(files: dict[Path, str]) -> None:
-    """Write every file or none, refused as a CLIError.
+def _write_files(files: dict[str | Path, str]) -> None:
+    """Write every file or none, refused as a CLIError, then print `wrote
+    <path>` for each, the path as its key prints.
 
     Every destination is opened, without truncating it, before any is
     written: one that cannot be opened (a directory, a missing directory)
@@ -133,7 +133,7 @@ def _write_files(files: dict[Path, str]) -> None:
     codes").
     """
     opened = []
-    created: list[Path] = []
+    created = []
     try:
         for path in files:
             existed = os.path.lexists(path)
@@ -151,8 +151,10 @@ def _write_files(files: dict[Path, str]) -> None:
         if len(opened) < len(files):  # refused before anything was written
             for new in created:
                 with contextlib.suppress(OSError):
-                    new.unlink()
+                    os.remove(new)
         raise CLIError(f"cannot write {path}: {e.strerror or e}") from e
+    for path in files:
+        print(f"wrote {path}")
 
 
 def _load_config(path) -> dict[str, str]:
@@ -160,15 +162,12 @@ def _load_config(path) -> dict[str, str]:
 
 
 def derive_bounds(programs) -> tuple[int, int]:
-    maxr, maxn = 1, 1
-    for p in programs:
-        for u in p.instructions:
-            match u:
-                case RegSet(i, n):
-                    maxr, maxn = max(maxr, i), max(maxn, n)
-                case IndFwdJump(i) | IndBwdJump(i):
-                    maxr = max(maxr, i)
-    return maxr, maxn
+    """The largest register index and register literal in `programs`, 1 where none."""
+    used = [u for p in programs for u in p.instructions if type(u) in WITH_REGISTER]
+    return (
+        max((u.register for u in used), default=1),
+        max((u.value for u in used if type(u) is RegSet), default=1),
+    )
 
 
 def resolve_params(args, programs=(), sidecars=()) -> ToolParams:
@@ -206,6 +205,15 @@ def read_program(path: str) -> tuple[Program, str, Path | None]:
     return p, name, None if stdin else Path(path).with_suffix(".cfg")
 
 
+def _load(args, *paths: str) -> tuple[list[Program], ToolParams]:
+    """Read each program, name it for the diagnostics `main` prints, and
+    resolve the params over them and their sidecars."""
+    loaded = [read_program(path) for path in paths]
+    programs = [p for p, _, _ in loaded]
+    args.names = {id(p): name for p, name, _ in loaded}
+    return programs, resolve_params(args, programs, [sidecar for _, _, sidecar in loaded])
+
+
 def _make_oracle(spec: str | None):
     if spec is None:
         return Scripted(())
@@ -218,9 +226,7 @@ def _make_oracle(spec: str | None):
 
 
 def _cmd_run(args) -> int:
-    p, name, sidecar = read_program(args.file)
-    args.names = {id(p): name}
-    params = resolve_params(args, programs=(p,), sidecars=(sidecar,))
+    (p,), params = _load(args, args.file)
     if args.steps is not None:
         params = replace(params, step_limit=args.steps)
     try:
@@ -232,9 +238,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_mid(args) -> int:
-    p, name, sidecar = read_program(args.file)
-    args.names = {id(p): name}
-    params = resolve_params(args, programs=(p,), sidecars=(sidecar,))
+    (p,), params = _load(args, args.file)
     graph = build_state_graph(p, params)
     result = compute_mid(graph, params.aux)
     print(f"MID = {result.text}")
@@ -259,9 +263,7 @@ def _params_config_text(params: ToolParams, cells: frozenset[str] | None) -> str
 
 
 def _cmd_project(args) -> int:
-    p, name, sidecar = read_program(args.file)
-    args.names = {id(p): name}
-    params = resolve_params(args, programs=(p,), sidecars=(sidecar,))
+    (p,), params = _load(args, args.file)
     if args.mode == "specialize":
         graph = build_state_graph(p, params)
         report = specialize(graph)
@@ -300,15 +302,12 @@ def _cmd_project(args) -> int:
     except OSError as e:
         raise CLIError(f"cannot create directory {out_dir}: {e}") from e
     prefix = f"{stem}.{args.mode}"
-    written = {
+    _write_files({
         out_dir / f"{prefix}.pglb": render_program(output) + "\n",
         out_dir / f"{prefix}.map.csv": map_csv,
         out_dir / f"{prefix}.report.txt": summary,
         out_dir / f"{prefix}.cfg": _params_config_text(out_params, out_params.cell_foci),
-    }
-    _write_files(written)
-    for path in written:
-        print(f"wrote {path}")
+    })
     return 0
 
 
@@ -323,14 +322,11 @@ def _write_program(out: str | None, p: Program, params: ToolParams) -> None:
         # The sidecar would overwrite the program it describes.
         raise CLIError(f"cannot write {path}: it is the path of its own .cfg sidecar")
     _write_files({path: text, sidecar: _params_config_text(params, None)})
-    print(f"wrote {path}")
-    print(f"wrote {sidecar}")
 
 
 def _cmd_gen(args) -> int:
     if args.what == "family":
-        p, fp = gen_scaling_family(args.k)
-        _write_program(args.out, p, fp.tool_params())
+        _write_program(args.out, *gen_scaling_family(args.k))
     else:
         params = ToolParams(maxr=args.maxr, maxn=args.maxn)
         p = gen_random(args.seed, args.len, params)
@@ -340,17 +336,18 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     params = resolve_params(args)
+    mirror = Path(args.out).with_suffix(".md") if args.out and args.md else None
+    if mirror is not None and mirror == Path(args.out):
+        # The mirror would overwrite the CSV it mirrors.
+        raise CLIError(f"cannot write {args.out}: it is the path of its own --md mirror")
     rows = bench_family(args.kmax, params)
     text = to_json(rows) if args.json else to_csv(rows)
     if args.out:
-        files = {Path(args.out): text}
-        if args.md:
-            md_path = Path(args.out).with_suffix(".md")
-            files[md_path] = to_markdown(rows)
+        # The CSV's path prints as given, the mirror's as a Path.
+        files = {args.out: text}
+        if mirror is not None:
+            files[mirror] = to_markdown(rows)
         _write_files(files)
-        print(f"wrote {args.out}")
-        if args.md:
-            print(f"wrote {md_path}")
     else:
         sys.stdout.write(to_markdown(rows) if args.md else text)
     return 1 if any(row.flag for row in rows) else 0
@@ -359,10 +356,7 @@ def _cmd_bench(args) -> int:
 def _cmd_check(args) -> int:
     if args.p == args.q == "-":
         raise CLIError("check reads stdin once: give at most one program as -")
-    p, p_name, p_sidecar = read_program(args.p)
-    q, q_name, q_sidecar = read_program(args.q)
-    args.names = {id(p): p_name, id(q): q_name}
-    params = resolve_params(args, programs=(p, q), sidecars=(p_sidecar, q_sidecar))
+    (p, q), params = _load(args, args.p, args.q)
     suite = OracleSuite(exhaustive_depth=args.depth)
     verdict = check_equivalence(p, q, params, suite)
     if verdict.equivalent:

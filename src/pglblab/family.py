@@ -9,10 +9,8 @@ indirect jumps land exactly on the selected basic instruction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .isa import (
-    AuxSpec,
     BasicInstruction,
     BwdJump,
     FwdJump,
@@ -30,20 +28,6 @@ from .isa import (
 )
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Machine parameters of one family member."""
-
-    k: int
-    maxr: int
-    maxn: int
-
-    def tool_params(self, **overrides) -> ToolParams:
-        defaults = dict(maxr=self.maxr, maxn=self.maxn, aux=AuxSpec())
-        defaults.update(overrides)
-        return ToolParams(**defaults)
-
-
 #: Largest family index: member 16 has 786436 instructions, and the
 #: length quadruples with every further step of 2.
 MAX_FAMILY_K = 16
@@ -52,8 +36,9 @@ MAX_FAMILY_K = 16
 MAX_RANDOM_LEN = 1_000_000
 
 
-def gen_scaling_family(k: int) -> tuple[Program, FamilyParams]:
-    """The k-th member of the selection family; length is 12*2^k + 4."""
+def gen_scaling_family(k: int) -> tuple[Program, ToolParams]:
+    """The k-th member of the selection family, length 12*2^k + 4, and the
+    machine parameters it needs: two registers holding offsets up to 2^(k+1) + 1."""
     if not 1 <= k <= MAX_FAMILY_K:
         raise InputError(f"k must be in 1..{MAX_FAMILY_K}")
     n = 2 ** k
@@ -79,13 +64,8 @@ def gen_scaling_family(k: int) -> tuple[Program, FamilyParams]:
         out.append(Plain(BasicInstruction(f"ap{i}", "run")))
         out.append(Halt())
     program = Program(tuple(out))
-    params = FamilyParams(
-        k=k,
-        maxr=2,
-        maxn=2 * n + 1,
-    )
     assert len(program) == 12 * n + 4
-    return program, params
+    return program, ToolParams(maxr=2, maxn=2 * n + 1)
 
 
 #: Relative draw weights per instruction kind for gen_random.
@@ -115,7 +95,8 @@ def gen_random(
 
     Jump distances are drawn from [0, length], so out-of-range and
     distance-0 deadlocks occur; register indexes and literals respect
-    params.maxr/maxn.
+    params.maxr/maxn.  `weights` maps kind names, the keys of
+    DEFAULT_KIND_WEIGHTS, to relative draw weights.
     """
     if not 1 <= length <= MAX_RANDOM_LEN:
         raise InputError(f"length must be in 1..{MAX_RANDOM_LEN}")
@@ -127,25 +108,16 @@ def gen_random(
     def basic() -> BasicInstruction:
         return BasicInstruction(rng.choice(_RANDOM_FOCI), rng.choice(_RANDOM_METHODS))
 
-    out: list[Instruction] = []
-    for _ in range(length):
-        match rng.choices(kinds, kind_weights)[0]:
-            case "plain":
-                out.append(Plain(basic()))
-            case "pos_test":
-                out.append(PosTest(basic()))
-            case "neg_test":
-                out.append(NegTest(basic()))
-            case "fwd_jump":
-                out.append(FwdJump(rng.randint(0, length)))
-            case "bwd_jump":
-                out.append(BwdJump(rng.randint(0, length)))
-            case "reg_set":
-                out.append(RegSet(rng.randint(1, params.maxr), rng.randint(1, params.maxn)))
-            case "ind_fwd_jump":
-                out.append(IndFwdJump(rng.randint(1, params.maxr)))
-            case "ind_bwd_jump":
-                out.append(IndBwdJump(rng.randint(1, params.maxr)))
-            case "halt":
-                out.append(Halt())
-    return Program(tuple(out))
+    # One builder per kind name: each draws its operands after the kind.
+    build = {
+        "plain": lambda: Plain(basic()),
+        "pos_test": lambda: PosTest(basic()),
+        "neg_test": lambda: NegTest(basic()),
+        "fwd_jump": lambda: FwdJump(rng.randint(0, length)),
+        "bwd_jump": lambda: BwdJump(rng.randint(0, length)),
+        "reg_set": lambda: RegSet(rng.randint(1, params.maxr), rng.randint(1, params.maxn)),
+        "ind_fwd_jump": lambda: IndFwdJump(rng.randint(1, params.maxr)),
+        "ind_bwd_jump": lambda: IndBwdJump(rng.randint(1, params.maxr)),
+        "halt": Halt,
+    }
+    return Program(tuple(build[rng.choices(kinds, kind_weights)[0]]() for _ in range(length)))

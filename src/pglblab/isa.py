@@ -202,17 +202,22 @@ class Program:
         return render_program(self)
 
 
-def render_program(p: Program) -> str:
-    """Canonical text: instructions joined by ' ; ', no trailing separator.
+def per_object(instructions, f: Callable[[Instruction], object]) -> list:
+    """`[f(u) for u in instructions]`, calling `f` once per distinct object.
 
     Programs share instruction objects (the parser's, the projections'
-    jumps), so each distinct object is rendered once.  Keying by `id` is
-    sound while `p` holds every object.
+    jumps), so per-instruction work is done once per object.  Keying by
+    `id` is sound while `instructions` holds every object.  A result of
+    None counts as missing, so `f` runs again at each occurrence of its object.
     """
-    ids = list(map(id, p.instructions))
-    distinct = dict(zip(ids, p.instructions))
-    text = dict(zip(distinct, map(render_instruction, distinct.values())))
-    return " ; ".join(map(text.__getitem__, ids))
+    memo: dict[int, object] = {}
+    known, keep = memo.get, memo.setdefault
+    return [v if (v := known(id(u))) is not None else keep(id(u), f(u)) for u in instructions]
+
+
+def render_program(p: Program) -> str:
+    """Canonical text: instructions joined by ' ; ', no trailing separator."""
+    return " ; ".join(per_object(p.instructions, render_instruction))
 
 
 # One alternative per instruction form but the direct jumps, which
@@ -224,7 +229,7 @@ _INSTR_SYNTAX = re.compile(
     r"|set:(?P<reg>\d+):(?P<set>\d+)"
     r"|i#(?P<ifwd>\d+)"
     r"|i\\#(?P<ibwd>\d+)"
-    r"|(?P<sign>[+-]?)(?P<focus>[a-z][a-z0-9]*)\.(?P<basic>[a-zA-Z][a-zA-Z0-9]*(?::[a-zA-Z0-9]+)*)"
+    rf"|(?P<sign>[+-]?)(?P<focus>{FOCUS_PATTERN.pattern})\.(?P<basic>{METHOD_PATTERN.pattern})"
 )
 _BASIC_KINDS = {"": Plain, "+": PosTest, "-": NegTest}
 #: The text before the `#` of a direct jump -> its kind.
@@ -406,8 +411,8 @@ CELL_METHODS = frozenset(("set:T", "set:F", "get"))
 #: Instruction kinds that carry a basic instruction, a register index, and
 #: either.
 BASIC_KINDS = frozenset((Plain, PosTest, NegTest))
-_WITH_REGISTER = frozenset((RegSet, IndFwdJump, IndBwdJump))
-_WITH_OPERAND = BASIC_KINDS | _WITH_REGISTER
+WITH_REGISTER = frozenset((RegSet, IndFwdJump, IndBwdJump))
+_WITH_OPERAND = BASIC_KINDS | WITH_REGISTER
 
 
 def bound_cell_foci(p: Program, params: ToolParams) -> frozenset[str]:
@@ -429,11 +434,11 @@ def validate(p: Program, params: ToolParams) -> list[Diagnostic]:
     place the diagnostics of a bad one.
     """
     maxr, maxn, cells = params.maxr, params.maxn, bound_cell_foci(p, params)
-    checked = _WITH_OPERAND if cells else _WITH_REGISTER
+    checked = _WITH_OPERAND if cells else WITH_REGISTER
     faults: dict[int, list[str]] = {}
     for key, u in {id(u): u for u in p.instructions if type(u) in checked}.items():
         kind = type(u)
-        if kind in _WITH_REGISTER:
+        if kind in WITH_REGISTER:
             if kind is RegSet and u.value > maxn:
                 faults[key] = [f"register literal {u.value} exceeds maxn={maxn}"]
             if u.register > maxr:

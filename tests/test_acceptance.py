@@ -71,8 +71,7 @@ def test_family_mid_is_constant_four():
     nodes_k8 = 0
     wall_k8 = 0.0
     for k in range(1, 9):
-        p, fp = gen_scaling_family(k)
-        params = fp.tool_params()
+        p, params = gen_scaling_family(k)
         t0 = perf_counter()
         graph = build_state_graph(p, params)
         values.append(compute_mid(graph, params.aux).value)
@@ -92,8 +91,7 @@ def test_family_mid_is_constant_four():
 
 
 def test_analyzer_agrees_with_exhaustive_search(is_acyclic):
-    p1, fp1 = gen_scaling_family(1)
-    params1 = fp1.tool_params()
+    p1, params1 = gen_scaling_family(1)
     static1 = compute_mid(build_state_graph(p1, params1), params1.aux).value
     brute1 = brute_force_mid(p1, params1, 60)
 
@@ -123,8 +121,7 @@ def test_projections_are_legal_and_equivalent():
     failures = []
 
     for k in range(1, 5):
-        p, fp = gen_scaling_family(k)
-        params = fp.tool_params()
+        p, params = gen_scaling_family(k)
         free = replace(params, cell_foci=frozenset())
         suite = OracleSuite(exhaustive_depth=8)
         for project in (specialize_program, dispatch_project):

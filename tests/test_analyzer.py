@@ -216,8 +216,7 @@ def differential_cases():
     for seed in range(2000):
         yield gen_random(seed, 3 + seed % 12, random_params), random_params
     for k in range(1, 7):
-        p, fp = gen_scaling_family(k)
-        yield p, fp.tool_params()
+        yield gen_scaling_family(k)
     for k in range(1, 4):
         yield service_loop(k)
     for text in HANDMADE_CYCLES:
@@ -250,8 +249,7 @@ def test_chain_walk_matches_the_tarjan_reference():
 
 
 def test_weights_are_decoded_once_per_instruction_object(monkeypatch):
-    p, fp = gen_scaling_family(5)
-    params = fp.tool_params()
+    p, params = gen_scaling_family(5)
     report = specialize(build_state_graph(p, params))
     threaded = thread_jumps(report.output)
     calls = []

@@ -120,8 +120,7 @@ def test_project_dispatch_thread_writes_the_threaded_output(tmp_path, capsys):
         capsys, "project", str(src), "--mode", "dispatch", "--thread", "--out-dir", str(tmp_path),
     )
     assert code == 0
-    p, fp = gen_scaling_family(2)
-    output = dispatch_project(p, fp.tool_params()).output
+    output = dispatch_project(*gen_scaling_family(2)).output
     threaded = thread_jumps(output)
     assert threaded != output
     assert (tmp_path / "p2.dispatch.pglb").read_text() == render_program(threaded) + "\n"
@@ -198,6 +197,9 @@ def test_derive_bounds_from_programs():
     p = parse_program("set:3:9 ; i#5 ; !")
     assert derive_bounds([p]) == (5, 9)
     assert derive_bounds([parse_program("!")]) == (1, 1)
+    assert derive_bounds([parse_program("i\\#7 ; !")]) == (7, 1)
+    # As `check` calls it: the bounds over both programs.
+    assert derive_bounds([parse_program("set:1:4 ; !"), parse_program("f.m ; i#3")]) == (3, 4)
 
 
 def test_parse_error_reported(tmp_path, capsys):
@@ -291,6 +293,15 @@ def test_gen_refuses_an_out_that_is_its_own_sidecar(gen, tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("out", ["b.md", "./b.md"])
+def test_bench_refuses_an_out_that_is_its_own_md_mirror(out, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = invoke(capsys, "bench", "--kmax", "1", "--out", out, "--md")
+    assert (code, stdout) == (1, "")
+    assert stderr == f"pglblab: cannot write {out}: it is the path of its own --md mirror\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rewriting_with_shorter_text_leaves_exactly_the_new_bytes(tmp_path, capsys):
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     reused.mkdir()
@@ -327,12 +338,18 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_bench_kmax_one_stdout(capsys):
+def test_bench_kmax_one_stdout(tmp_path, capsys, monkeypatch):
     code, stdout, _ = invoke(capsys, "bench", "--kmax", "1")
     assert code == 0
     lines = stdout.strip().split("\n")
     assert lines[0].startswith("k,lengthOriginal,")
     assert len(lines) == 2 and lines[1].startswith("1,28,4,")
+    # With --out, the CSV's path prints as typed and the mirror's through Path.
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = invoke(capsys, "bench", "--kmax", "1", "--out", "./c.csv", "--md")
+    assert (code, stdout) == (0, "wrote ./c.csv\nwrote c.md\n")
+    assert (tmp_path / "c.csv").read_text().startswith(lines[0] + "\n1,28,4,")
+    assert (tmp_path / "c.md").read_text().startswith("| k | lengthOriginal |")
 
 
 @pytest.mark.parametrize("flag", ["--maxr", "--maxn", "--cells"])
@@ -744,10 +761,16 @@ def bad_diagnostics(name) -> str:
     )
 
 
-def test_invalid_run_input_prints_its_diagnostics(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["mid"], ["project", "--mode", "dispatch"], ["project", "--mode", "specialize"]],
+    ids=["run", "mid", "project-dispatch", "project-specialize"],
+)
+def test_invalid_run_input_prints_its_diagnostics(command, tmp_path, capsys):
     bad = tmp_path / "bad.pglb"
     bad.write_text(BAD_TEXT)
-    code, stdout, stderr = invoke(capsys, "run", str(bad), "--maxr", "1", "--maxn", "3")
+    argv = [command[0], str(bad), *command[1:], "--maxr", "1", "--maxn", "3"]
+    code, stdout, stderr = invoke(capsys, *argv)
     assert code == 1
     assert stdout == ""
     assert stderr == bad_diagnostics(bad)

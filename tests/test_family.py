@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from pglblab.family import DEFAULT_KIND_WEIGHTS, MAX_RANDOM_LEN, gen_scaling_family, gen_random
@@ -23,11 +25,9 @@ def test_family_smallest_member_golden():
 
 
 def test_family_params():
-    p, fp = gen_scaling_family(3)
-    assert fp.k == 3
-    assert fp.maxr == 2
-    assert fp.maxn == 2 * 8 + 1
-    assert validate(p, fp.tool_params()) == []
+    p, params = gen_scaling_family(3)
+    assert params == ToolParams(maxr=2, maxn=2 * 8 + 1)
+    assert validate(p, params) == []
 
 
 def test_family_is_deterministic():
@@ -43,8 +43,8 @@ def test_family_rejects_k_below_one():
 def test_family_selects_every_branch_pair(k):
     # The i-th True in round one and j-th True in round two must reach
     # exactly a<i>.run then ap<j>.run and terminate.
-    p, fp = gen_scaling_family(k)
-    params = fp.tool_params(cell_foci=frozenset())
+    p, params = gen_scaling_family(k)
+    params = replace(params, cell_foci=frozenset())
     n = 2**k
     for i in range(1, n + 1):
         for j in range(1, n + 1):

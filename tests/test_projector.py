@@ -384,9 +384,9 @@ def test_threading_a_specialized_program_shortens_hops():
 def service_loop(k):
     """Family member k with each `!` turned into a jump back to position 1,
     and its params."""
-    p, fp = gen_scaling_family(k)
+    p, params = gen_scaling_family(k)
     loop = tuple(BwdJump(pos - 1) if u == Halt() else u for pos, u in enumerate(p.instructions, 1))
-    return Program(loop), fp.tool_params()
+    return Program(loop), params
 
 
 def threading_cases():
@@ -405,8 +405,7 @@ def threading_cases():
             text = text.replace("f.m", "bool1.get").replace("f.n", "bool1.set:T")
         yield parse_program(text), params
     for k in range(1, 7):
-        p, fp = gen_scaling_family(k)
-        yield p, fp.tool_params()
+        yield gen_scaling_family(k)
     for k in range(1, 5):
         yield service_loop(k)
     for text in (
@@ -463,8 +462,7 @@ def test_specialize_threading_leaves_jump_cycles_alone():
 def test_specialize_interns_its_jumps():
     # One object per (kind, distance) within the emitted program, and
     # within its threaded program.
-    p, fp = gen_scaling_family(3)
-    output = specialize(build_state_graph(p, fp.tool_params())).output
+    output = specialize(build_state_graph(*gen_scaling_family(3))).output
     for program in (output, thread_jumps(output)):
         jumps = [u for u in program.instructions if isinstance(u, (FwdJump, BwdJump))]
         assert len({id(u) for u in jumps}) == len(set(jumps)) > 1
@@ -473,8 +471,7 @@ def test_specialize_interns_its_jumps():
 def test_dispatch_interns_its_cells_and_jumps():
     # One basic instruction object per (focus, method) on the introduced
     # cells, and one jump object per (kind, distance).
-    p, fp = gen_scaling_family(3)
-    report = dispatch_project(p, fp.tool_params())
+    report = dispatch_project(*gen_scaling_family(3))
     ins = report.output.instructions
     basics = [u.basic for u in ins if isinstance(u, (Plain, PosTest, NegTest))]
     cells = [b for b in basics if b.focus in report.aux_foci]

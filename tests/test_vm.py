@@ -194,8 +194,8 @@ def test_explicit_cell_foci_replace_auto_binding():
 
 
 def test_family_first_branch_pair_selected_by_two_trues():
-    p, fp = gen_scaling_family(1)
-    params = fp.tool_params(cell_foci=frozenset())  # route bool1 to the oracle
+    p, params = gen_scaling_family(1)
+    params = replace(params, cell_foci=frozenset())  # route bool1 to the oracle
     t = run(p, params, Scripted((True, True)))
     assert t.final is Status.TERMINATED
     foci = [ev.focus for ev in observable_events(t.events, params.aux)]
@@ -203,8 +203,8 @@ def test_family_first_branch_pair_selected_by_two_trues():
 
 
 def test_family_all_false_halts_in_first_chunk():
-    p, fp = gen_scaling_family(1)
-    params = fp.tool_params(cell_foci=frozenset())
+    p, params = gen_scaling_family(1)
+    params = replace(params, cell_foci=frozenset())
     t = run(p, params, Scripted((False, False)))
     assert t.final is Status.TERMINATED
     obs = observable_events(t.events, params.aux)
@@ -213,8 +213,7 @@ def test_family_all_false_halts_in_first_chunk():
 
 def test_family_under_default_binding_is_deterministic():
     # bool1 auto-binds to a cell holding False: no oracle replies needed.
-    p, fp = gen_scaling_family(2)
-    t = run(p, fp.tool_params(), Scripted(()))
+    t = run(*gen_scaling_family(2), Scripted(()))
     assert t.final is Status.TERMINATED
 
 
@@ -430,10 +429,10 @@ def service_loop(p: Program) -> Program:
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_execute_matches_the_reference_on_service_loops(k):
-    p, fp = gen_scaling_family(k)
+    p, family_params = gen_scaling_family(k)
     p = service_loop(p)
     for cells in (None, frozenset()):
-        params = fp.tool_params(cell_foci=cells)
+        params = replace(family_params, cell_foci=cells)
         report = dispatch_project(p, params)
         for program, run_params in (
             (p, params),
