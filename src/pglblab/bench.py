@@ -1,8 +1,8 @@
 """Scaling benchmark over the selection family.
 
 One row per k: generate, measure MID, run both projections (the specialize
-output then goes through `thread_jumps`), re-verify equivalence on a seeded
-oracle set, and record lengths, delays, state-graph size, and per-phase
+output then goes through `thread_jumps`), prove each output equivalent to
+the member under the member's own cell binding, and record lengths, delays, state-graph size, and per-phase
 wall time.  Each program is analysed once: the member, the threaded
 specialize output and the dispatch output.  Rows run one after another, so
 no row's timings include another's work, and are deterministic apart from
@@ -18,9 +18,7 @@ from dataclasses import astuple, dataclass, replace
 from .analyzer import StateLimitExceeded, build_state_graph, compute_mid, program_mid
 from .family import gen_scaling_family
 from .isa import InputError, ToolParams
-from .projector import OracleSuite, check_equivalence, dispatch_project, specialize, thread_jumps
-
-CHECK_SEEDS = (11, 23, 47, 89, 131)
+from .projector import check_equivalence, dispatch_project, specialize, thread_jumps
 
 # -1 in a mid column means unbounded (or not computed on a flagged row).
 CSV_HEADER = (
@@ -92,18 +90,13 @@ def _bench_one(k: int, base: ToolParams) -> BenchRow:
         if mid.value != 4:
             flag = 1
 
-        # The checks route the test focus to the oracle on all sides, so
-        # the seeded streams drive every selection path; dispatch's own
-        # cells stay bound via its report.
-        free = replace(params, cell_foci=frozenset())
-
         t = time.perf_counter()
         spec = specialize(graph)
         # Keep only the output and its params: the graph and the relocation
         # map go before the output is threaded, and the plain output before
         # the threaded one's graph is built.
         output = spec.output
-        spec_params, spec_check_params = spec.output_params(params), spec.output_params(free)
+        spec_params = spec.output_params(params)
         del graph, spec
         threaded = thread_jumps(output)
         del output
@@ -118,17 +111,13 @@ def _bench_one(k: int, base: ToolParams) -> BenchRow:
         disp_ms = (time.perf_counter() - t) * 1000.0
 
         t = time.perf_counter()
-        suite = OracleSuite(exhaustive_depth=0, seeds=CHECK_SEEDS)
-        checks = ((threaded, spec_check_params), (disp.output, disp.output_params(free)))
+        checks = ((threaded, spec_params), (disp.output, disp.output_params(params)))
         for output, check_params in checks:
-            verdict = check_equivalence(p, output, check_params, suite)
-            if not verdict.equivalent:
+            if not check_equivalence(p, output, check_params).equivalent:
                 flag = 1
         check_ms = (time.perf_counter() - t) * 1000.0
     except StateLimitExceeded:
-        return BenchRow(
-            k, len(p), -1, -1, -1, -1, -1, -1, gen_ms, 0.0, 0.0, 0.0, 0.0, 1
-        )
+        return BenchRow(k, len(p), -1, -1, -1, -1, -1, -1, gen_ms, 0.0, 0.0, 0.0, 0.0, 1)
 
     return BenchRow(
         k=k,

@@ -41,7 +41,7 @@ from .isa import (
     parse_program,
     render_program,
 )
-from .projector import OracleSuite, check_equivalence, dispatch_project, specialize, thread_jumps
+from .projector import check_equivalence, dispatch_project, specialize, thread_jumps
 from .vm import (
     OracleExhausted,
     Scripted,
@@ -357,24 +357,17 @@ def _cmd_check(args) -> int:
     if args.p == args.q == "-":
         raise CLIError("check reads stdin once: give at most one program as -")
     (p, q), params = _load(args, args.p, args.q)
-    suite = OracleSuite(exhaustive_depth=args.depth)
-    verdict = check_equivalence(p, q, params, suite)
+    verdict = check_equivalence(p, q, params)
     if verdict.equivalent:
-        print(f"equivalent (checked={verdict.checked}, inconclusive={verdict.inconclusive})")
+        print(f"equivalent (checked={verdict.checked})")
         return 0
     cex = verdict.counterexample
     print(f"counterexample oracle={cex.oracle}")
     for label, events, final in (("p", cex.p_events, cex.p_final), ("q", cex.q_events, cex.q_final)):
-        rendered = " ".join(f"{e.focus}.{e.method}={'T' if e.reply else 'F'}" for e in events)
-        status = "cut" if final is None else final.value
-        print(f"{label}: {rendered} status={status}")
-    print(f"checked={verdict.checked} inconclusive={verdict.inconclusive}")
+        rendered = [f"{e.focus}.{e.method}={'T' if e.reply else 'F'}" for e in events]
+        print(f"{label}:", *rendered, f"status={final.value}")
+    print(f"checked={verdict.checked}")
     return 1
-
-
-#: `check` enumerates every reply prefix up to --depth branches, so its
-#: time grows exponentially with the depth.
-MAX_CHECK_DEPTH = 16
 
 
 @functools.cache
@@ -450,13 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_flags(sp)
     sp.set_defaults(handler=_cmd_bench)
 
-    sp = sub.add_parser("check", help="observable-equivalence check of two programs")
+    sp = sub.add_parser("check", help="decide observable equivalence of two programs")
     sp.add_argument("p")
     sp.add_argument("q")
-    sp.add_argument(
-        "--depth", type=int, default=10, choices=range(MAX_CHECK_DEPTH + 1),
-        metavar=f"0..{MAX_CHECK_DEPTH}", help="exhaustive oracle branch depth",
-    )
     add_param_flags(sp)
     sp.set_defaults(handler=_cmd_check)
 

@@ -16,8 +16,8 @@ Projections emit programs and do no analysis: the caller computes the MID
 of each program it reports, under `ProjectionReport.output_params` for the
 output.  `thread_jumps` is a separate linear pass over any register-free
 program, either projection's output included, that collapses chains of
-direct jumps.  `check_equivalence` compares observable behaviour over an
-oracle suite.
+direct jumps.  `check_equivalence` decides whether two programs behave
+alike on every oracle, on the product of their closed runs.
 """
 from __future__ import annotations
 
@@ -49,16 +49,7 @@ from .isa import (
     is_pglb,
     require_valid,
 )
-from .vm import (
-    MachineConfig,
-    ObservableEvent,
-    Scripted,
-    Seeded,
-    Status,
-    execute,
-    initial_config,
-    observable_events,
-)
+from .vm import ObservableEvent, Status, observable_steps
 
 
 @dataclass(frozen=True)
@@ -381,26 +372,13 @@ def thread_jumps(p: Program) -> Program:
     return Program(tuple(out))
 
 
-#: Step budget of each checked run, further capped by the params limit.
-#: Runs cut by it are inconclusive, never counterexamples.
-CHECK_STEP_LIMIT = 4096
-
-
-@dataclass(frozen=True)
-class OracleSuite:
-    """Exhaustive reply prefixes up to a branch depth, then seeded streams."""
-
-    exhaustive_depth: int = 10
-    seeds: tuple[int, ...] = (101, 102, 103, 104, 105)
-
-
 @dataclass(frozen=True)
 class Counterexample:
     oracle: str
     p_events: tuple[ObservableEvent, ...]
     q_events: tuple[ObservableEvent, ...]
-    p_final: Status | None
-    q_final: Status | None
+    p_final: Status
+    q_final: Status
 
 
 @dataclass(frozen=True)
@@ -408,97 +386,58 @@ class Verdict:
     equivalent: bool
     counterexample: Counterexample | None
     checked: int
-    inconclusive: int
 
 
-def _oracle_runs(p: Program, q: Program, params: ToolParams, suite: OracleSuite):
-    """(oracle label, p run, q run) for each oracle of the suite, in check
-    order.  A run is (observable events, final status), the status None
-    when the run waits for a reply its oracle does not have.
-
-    The exhaustive oracles come from one depth-first walk over the joint
-    reply tree of p and q, False before True, so in sorted order of their
-    reply sequences.  At each node a side that waits for a reply runs on
-    with the node's reply from where it stopped; a side that stopped above
-    is carried along.  A node is an oracle where a side that reached it
-    stops, and at the exhaustive depth.
-
-    A seeded run's first replies follow a path of that tree, so it resumes
-    from the deepest node of its path: a side that stopped at or above it
-    keeps its result, and a waiting side runs on with the seed's stream
-    from the node's depth, within the same step budget.
-    """
-    aux = params.aux
-    budget = min(params.step_limit, CHECK_STEP_LIMIT)
-    depth = suite.exhaustive_depth
-    seeded = [Seeded(seed) for seed in suite.seeds]
-    for oracle in seeded:
-        oracle.supply(depth)
-    # The nodes on the seeds' paths, and each side's state where the walk
-    # met them.
-    on_paths = {tuple(o.replies[:d]) for o in seeded for d in range(depth + 1)}
-    kept = {}
-    # A side is (observable events, final status, end configuration, steps).
-    start = [((), None, initial_config(x, params, Scripted(())), 0) for x in (p, q)]
-    stack = [((), start)]
-    while stack:
-        sigma, sides = stack.pop()
-        now = []
-        stopped = False
-        for x, (obs, final, end, steps) in zip((p, q), sides):
-            if final is None:
-                cfg = MachineConfig(end.pc, end.registers, end.cells, Scripted(sigma[-1:]))
-                events, final, end = execute(x, cfg, budget - steps)
-                obs += observable_events(events, aux)
-                steps += len(events)
-                stopped = stopped or final is not None
-            now.append((obs, final, end, steps))
-        if sigma in on_paths:
-            kept[sigma] = now
-        deep = len(sigma) >= depth
-        if stopped or deep:
-            yield "exhaustive:" + "".join("T" if r else "F" for r in sigma), now[0][:2], now[1][:2]
-        if not deep and (now[0][1] is None or now[1][1] is None):
-            stack.append((sigma + (True,), now))
-            stack.append((sigma + (False,), now))
-    for oracle in seeded:
-        path = tuple(oracle.replies[:depth])
-        d = 0
-        while d < depth and path[: d + 1] in kept:
-            d += 1
-        runs = []
-        for x, (obs, final, end, steps) in zip((p, q), kept[path[:d]]):
-            if final is None:
-                cfg = MachineConfig(end.pc, end.registers, end.cells, oracle.at(d))
-                events, final, _ = execute(x, cfg, budget - steps)
-                obs += observable_events(events, aux)
-            runs.append((obs, final))
-        yield f"seeded:{oracle.seed}", runs[0], runs[1]
-
-
-def check_equivalence(
-    p: Program, q: Program, params: ToolParams, suite: OracleSuite
-) -> Verdict:
-    """Compare observable traces of p and q over the oracle suite.
-
-    Runs cut by the step limit or waiting for a reply are inconclusive:
-    their common observable prefix must still agree, but no verdict is
-    drawn from the cut itself.  The first disagreement is reported.
+def check_equivalence(p: Program, q: Program, params: ToolParams) -> Verdict:
+    """Decide whether p and q make the same observable events and stop
+    alike on every oracle: a breadth-first search over pairs of their
+    closed states (`vm.observable_steps`), each explored once, that steps
+    both sides over one event, on both replies when either reads one.  A
+    side that reads where the other does not differs from it on False, so
+    the two never read apart.  The first pair whose events or stops differ
+    gives a shortest counterexample through the parent links; `checked`
+    counts the pairs met.  More than `params.state_limit` are refused.
     """
     require_valid(p, params)
     require_valid(q, params)
-    stops = (Status.TERMINATED, Status.DEADLOCKED)
-    checked = inconclusive = 0
-    for label, (po, p_final), (qo, q_final) in _oracle_runs(p, q, params, suite):
-        checked += 1
-        if p_final in stops and q_final in stops:
-            if po == qo and p_final == q_final:
-                continue
-        else:
-            inconclusive += 1
-            m = min(len(po), len(qo))
-            if po[:m] == qo[:m]:
-                continue
-        cex = Counterexample(label, po, qo, p_final, q_final)
-        return Verdict(False, cex, checked, inconclusive)
-    return Verdict(True, None, checked, inconclusive)
+    (p_start, p_after), (q_start, q_after) = (observable_steps(x, params) for x in (p, q))
+    # Each pair met, with the step that first reached it: (pair before,
+    # reply read or None, p's event, q's event).
+    parent = {(p_start, q_start): None}
+    queue = [(p_start, q_start)]
+
+    def differ(step: tuple | None, ends: tuple) -> Verdict:
+        # The counterexample ending in `step`, the sides then at `ends`.
+        steps = []
+        while step is not None:
+            steps.append(step)
+            step = parent[step[0]]
+        _, replies, p_events, q_events = zip(*reversed(steps)) if steps else ((),) * 4
+        cex = Counterexample(
+            "".join("FT"[r] for r in replies if r is not None), p_events, q_events,
+            *(end if type(end) is Status else Status.RUNNING for end in ends),
+        )
+        return Verdict(False, cex, len(parent))
+
+    for pair in queue:  # grows while iterated: a FIFO
+        sp, sq = pair
+        if type(sp) is Status or type(sq) is Status:
+            if sp is not sq:
+                return differ(parent[pair], pair)
+            continue
+        p_reads, p_out = p_after(sp)
+        q_reads, q_out = q_after(sq)
+        reads = p_reads or q_reads
+        for reply in (False, True) if reads else (True,):
+            (pe, pn), (qe, qn) = p_out[reply], q_out[reply]
+            step = (pair, reply if reads else None, pe, qe)
+            if pe != qe:
+                return differ(step, (pn, qn))
+            if (pn, qn) not in parent:
+                if len(parent) >= params.state_limit:
+                    raise InputError(
+                        f"check product exceeds the state limit of {params.state_limit} pairs"
+                    )
+                parent[pn, qn] = step
+                queue.append((pn, qn))
+    return Verdict(True, None, len(parent))

@@ -6,9 +6,9 @@ other focus is answered by the run's reply oracle.  Plain basic instructions
 proceed as if True were produced, so they never consume an oracle reply;
 only tests do.
 
-`execute` is the interpreter loop; `run` and `step` are calls into it.
-Each call decodes a position once, the first time it reaches it, into a
-step rule that holds the position's events and targets, so a step is one
+`execute` is the interpreter loop; `run` and `step` are calls into it,
+and `observable_steps` takes the same steps for `check`.  Each call
+decodes a position once, the first time it reaches it, into a step rule that holds the position's events and targets, so a step is one
 dict lookup and one branch on the rule's opcode.  Rules are kept per call
 and per visited position; `cell_reply` stays the one cell law, read into
 a rule when it is decoded.
@@ -31,18 +31,21 @@ from typing import NamedTuple
 from .isa import (
     BASIC_KINDS,
     BwdJump,
+    Diagnostic,
     FwdJump,
     Halt,
     IndBwdJump,
     IndFwdJump,
     InputError,
     Instruction,
+    InvalidProgram,
     MOVES,
+    NegTest,
     PglbError,
+    PosTest,
     Program,
     RegSet,
     ToolParams,
-    basic_of,
     bound_cell_foci,
     render_instruction,
     require_valid,
@@ -54,6 +57,8 @@ class Status(Enum):
     TERMINATED = "Terminated"
     DEADLOCKED = "Deadlocked"
     STEP_LIMIT = "StepLimit"
+    #: Loops for ever without an observable event (`observable_steps`).
+    DIVERGES = "Diverges"
 
 
 class OracleExhausted(PglbError, RuntimeError):
@@ -334,30 +339,84 @@ def run(p: Program, params: ToolParams, oracle: ReplyOracle) -> Trace:
     return Trace(tuple(events), final)
 
 
-def observable_events(
-    events: tuple[TraceEvent, ...], aux
-) -> tuple[ObservableEvent, ...]:
-    """Project trace events to non-aux basic-instruction requests.
+def observable_steps(p: Program, params: ToolParams) -> tuple:
+    """The runs of `p` closed over internal steps (jumps, register sets,
+    halts, aux-marked basic instructions): (start, after).  A closed state
+    is the Status where the run stops, DIVERGES when its internal steps
+    cycle, or the state (pc, registers, cells) at an observable
+    instruction; `start` is the initial one.  `after(s)` is (whether s
+    reads a reply, the (event, closed successor) on False and on True).
+    An aux-marked test on a focus that is no cell reads a reply no trace
+    shows, so it is refused before any step; so is a closure of more than
+    `params.state_limit` states."""
+    ins = p.instructions
+    length = len(ins)
+    aux, limit = params.aux, params.state_limit
+    slot = {focus: i for i, focus in enumerate(sorted(bound_cell_foci(p, params)))}
+    for pos, u in enumerate(ins, 1) if aux.patterns else ():
+        if type(u) in (PosTest, NegTest) and u.basic.focus not in slot and aux(u.basic):
+            message = f"aux-marked test {render_instruction(u)} reads a reply that no trace shows"
+            raise InvalidProgram(p, [Diagnostic(pos, message)])
+    rules: dict[int, tuple] = {}
+    closed: dict[tuple, object] = {}
 
-    Each distinct event object is projected once: `execute` shares one
-    per position and outcome, so a long run holds few of them.
-    """
-    projected: dict[int, ObservableEvent | None] = {}
-    out = []
-    for ev in events:
-        key = id(ev)
-        if key in projected:
-            o = projected[key]
-        else:
-            b = basic_of(ev.instruction)
-            if b is not None and not aux(b):
-                assert ev.reply is not None
-                o = projected[key] = _event(ObservableEvent, (b.focus, b.method, ev.reply))
-            else:
-                o = projected[key] = None
-        if o is not None:
-            out.append(o)
-    return tuple(out)
+    def advance(pc: int, registers: tuple, cells: tuple, reply: bool) -> tuple:
+        # One step by `execute`'s rule: (event, next pc or 0, registers, cells).
+        op, event, target, on_false, false_target, operand = rules[pc]
+        if op is _CELL:
+            focus, law = operand
+            i = slot[focus]
+            value, reply = law[cells[i]]
+            cells = (*cells[:i], value, *cells[i + 1:])
+        elif op is _SET:
+            i, value = operand
+            registers = (*registers[:i], value, *registers[i + 1:])
+        elif op is _IND:
+            i, direction = operand
+            target = pc + direction * registers[i]
+            if target == pc or not 1 <= target <= length:
+                target = 0
+        if not reply and (op is _ASK or op is _CELL):
+            event, target = on_false, false_target
+        return event, target, registers, cells
+
+    def close(state: tuple):
+        # A walk's states read DIVERGES until it ends: meeting one is a cycle.
+        walk = []
+        end = closed.get(state)
+        while end is None:
+            if len(closed) >= limit:
+                raise InputError(f"closure exceeds the state limit of {limit} states")
+            closed[state] = Status.DIVERGES
+            walk.append(state)
+            pc = state[0]
+            if pc not in rules:
+                rules[pc] = _decode(ins[pc - 1], pc, length, slot)
+            u = rules[pc][1].instruction
+            if type(u) in BASIC_KINDS and not aux(u.basic):
+                end = state
+                break
+            event, pc, registers, cells = advance(*state, True)
+            if not pc:
+                end = Status.TERMINATED if type(u) is Halt else Status.DEADLOCKED
+                break
+            state = (pc, registers, cells)
+            end = closed.get(state)
+        for s in walk:
+            closed[s] = end
+        return end
+
+    def after(state: tuple) -> tuple:
+        reads = rules[state[0]][0] is _ASK
+        outcomes = []
+        for reply in (False, True) if reads else (True,):
+            event, pc, registers, cells = advance(*state, reply)
+            b = event.instruction.basic
+            seen = _event(ObservableEvent, (b.focus, b.method, event.reply))
+            outcomes.append((seen, close((pc, registers, cells)) if pc else Status.DEADLOCKED))
+        return reads, outcomes if reads else outcomes * 2
+
+    return close((1, (0,) * params.maxr, (params.cell_init,) * len(slot))), after
 
 
 def trace_text(t: Trace) -> str:

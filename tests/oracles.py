@@ -11,7 +11,8 @@ All three are kept unchanged as the references of the differential tests.
 
 `brute_force_mid` enumerates runs to find the MID that the state graph
 gives, and `replay_segment` replays a MID witness; both step through
-`vm.step`.
+`vm.step`.  `reference_observable_events` projects a trace to its
+observable events one event at a time.
 """
 from __future__ import annotations
 
@@ -39,9 +40,18 @@ from pglblab.isa import (
     Program,
     RegSet,
     ToolParams,
+    basic_of,
     require_valid,
 )
-from pglblab.vm import MachineConfig, Scripted, Status, TraceEvent, cell_reply, step
+from pglblab.vm import (
+    MachineConfig,
+    ObservableEvent,
+    Scripted,
+    Status,
+    TraceEvent,
+    cell_reply,
+    step,
+)
 
 
 # Successor rules of one program position, decoded once per build: no
@@ -440,3 +450,15 @@ def replay_segment(p: Program, params: ToolParams, nodes: tuple[StateNode, ...])
         assert nxt.status is Status.RUNNING, f"segment dies at {a}"
         assert (nxt.pc, nxt.registers) == (b.pc, b.registers), f"bad edge {a} -> {b}"
     return sum(id_weight(p.instructions[n.pc - 1], params.aux) for n in nodes[1:-1])
+
+
+def reference_observable_events(events, aux) -> tuple[ObservableEvent, ...]:
+    """The requests of trace `events` that are basic instructions and not
+    aux-marked, with their replies, one event at a time."""
+    out = []
+    for ev in events:
+        b = basic_of(ev.instruction)
+        if b is not None and not aux(b):
+            assert ev.reply is not None
+            out.append(ObservableEvent(b.focus, b.method, ev.reply))
+    return tuple(out)

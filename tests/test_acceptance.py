@@ -12,26 +12,19 @@ from dataclasses import replace
 from time import perf_counter
 
 import pytest
-from oracles import brute_force_mid, replay_segment
+from oracles import brute_force_mid, reference_observable_events, replay_segment
 
 from pglblab.analyzer import build_state_graph, compute_mid, id_weight
 from pglblab.bench import bench_family
 from pglblab.family import gen_scaling_family, gen_random
 from pglblab.isa import AuxSpec, InvalidProgram, ToolParams, is_pglb, parse_program
-from pglblab.projector import (
-    OracleSuite,
-    check_equivalence,
-    dispatch_project,
-    specialize,
-    thread_jumps,
-)
+from pglblab.projector import check_equivalence, dispatch_project, specialize, thread_jumps
 from pglblab.vm import (
     Scripted,
     Seeded,
     UnknownCellMethod,
     execute,
     initial_config,
-    observable_events,
     run,
     trace_text,
 )
@@ -118,23 +111,26 @@ def test_analyzer_agrees_with_exhaustive_search(is_acyclic):
 
 
 def test_projections_are_legal_and_equivalent():
+    # Equivalence is proven on the closed product, for family k=1..6 with
+    # bool1 a cell, as the member's params bind it, and with bool1 read
+    # from the oracle, and for 500 random programs.
     failures = []
+    proven = 0
 
-    for k in range(1, 5):
+    for k in range(1, 7):
         p, params = gen_scaling_family(k)
-        free = replace(params, cell_foci=frozenset())
-        suite = OracleSuite(exhaustive_depth=8)
-        for project in (specialize_program, dispatch_project):
-            rep = project(p, params)
-            if not is_pglb(rep.output):
-                failures.append((f"family k={k}", project.__name__, "not register-free"))
-                continue
-            verdict = check_equivalence(p, rep.output, rep.output_params(free), suite)
-            if not verdict.equivalent:
-                failures.append((f"family k={k}", project.__name__, verdict.counterexample))
+        for bound in (params, replace(params, cell_foci=frozenset())):
+            for project in (specialize_program, dispatch_project):
+                rep = project(p, bound)
+                if not is_pglb(rep.output):
+                    failures.append((f"family k={k}", project.__name__, "not register-free"))
+                    continue
+                verdict = check_equivalence(p, rep.output, rep.output_params(bound))
+                proven += verdict.equivalent
+                if not verdict.equivalent:
+                    failures.append((f"family k={k}", project.__name__, verdict.counterexample))
 
     params = ToolParams(maxr=2, maxn=3)
-    suite = OracleSuite(exhaustive_depth=10)
     for seed in range(1, 501):
         p = gen_random(1000 + seed, 3 + seed % 10, params)
         for project in (specialize_program, dispatch_project):
@@ -142,42 +138,46 @@ def test_projections_are_legal_and_equivalent():
             if not is_pglb(rep.output):
                 failures.append((seed, project.__name__, "not register-free"))
                 continue
-            verdict = check_equivalence(p, rep.output, rep.output_params(params), suite)
+            verdict = check_equivalence(p, rep.output, rep.output_params(params))
+            proven += verdict.equivalent
             if not verdict.equivalent:
                 failures.append((seed, project.__name__, verdict.counterexample))
 
     report(
-        "both projections emit register-free, observably equivalent programs",
-        not failures,
-        f"{len(failures)} failure(s): {failures[:3]}",
+        "both projections emit register-free programs, proven observably equivalent",
+        not failures and proven == 6 * 2 * 2 + 500 * 2,
+        f"{proven} proven, {len(failures)} failure(s): {failures[:3]}",
     )
 
 
 def test_specialize_keeps_delay_flat_while_length_blows_up(bench_rows):
-    mids = [row.mid_specialized for row in bench_rows]
-    lengths = [row.length_specialized for row in bench_rows]
-    ratios = [lengths[i] / lengths[i - 1] for i in range(2, 6)]
-    ok = all(m <= 5 for m in mids) and all(3.5 <= r <= 4.5 for r in ratios)
+    # The closed forms of the rows k=1..6: the source, its state graph,
+    # and the threaded specialize output.
+    rows = [
+        (row.length_original, row.mid_original, row.state_nodes,
+         row.length_specialized, row.mid_specialized)
+        for row in bench_rows
+    ]
+    forms = [
+        (12 * 2**k + 4, 4, 10 * 4**k + 5 * 2**k + 1, 14 * 4**k + 7 * 2**k + 1, 1)
+        for k in range(1, 7)
+    ]
     report(
-        "specializer: delay stays <= 5 while length quadruples per step (k=3..6)",
-        ok,
-        f"mids={mids}, ratios={[round(r, 3) for r in ratios]}",
+        "specializer: delay stays 1 while length grows as 14*4^k+7*2^k+1 (k=1..6)",
+        rows == forms,
+        f"rows={rows}",
     )
 
 
 def test_dispatch_keeps_length_linear_while_delay_grows(bench_rows):
-    mids = [row.mid_dispatch for row in bench_rows]
-    lengths = [row.length_dispatch for row in bench_rows]
-    ratios = [lengths[i] / lengths[i - 1] for i in range(2, 6)]
-    ok = (
-        all(1.8 <= r <= 2.6 for r in ratios)
-        and all(mids[i] < mids[i + 1] for i in range(5))
-        and mids[5] >= mids[0] + 4
-    )
+    # Length (2k+34)*2^k-2 is linear in the source length 12*2^k+4 up to
+    # a log factor, and delay grows as 5k+10.
+    rows = [(row.length_dispatch, row.mid_dispatch) for row in bench_rows]
+    forms = [((2 * k + 34) * 2**k - 2, 5 * k + 10) for k in range(1, 7)]
     report(
-        "dispatcher: length stays linear while delay strictly grows with k",
-        ok,
-        f"mids={mids}, ratios={[round(r, 3) for r in ratios]}",
+        "dispatcher: length is (2k+34)*2^k-2 while delay grows as 5k+10 (k=1..6)",
+        rows == forms,
+        f"rows={rows}",
     )
 
 
@@ -216,7 +216,7 @@ def test_core_semantics_laws():
     # observable traces hide auxiliary requests
     aux_params = ToolParams(aux=AuxSpec.parse("x.*"))
     trace = run(parse_program("x.m ; f.m ; !"), aux_params, Scripted(()))
-    obs = observable_events(trace.events, aux_params.aux)
+    obs = reference_observable_events(trace.events, aux_params.aux)
     checks.append(("aux filtering", [e.focus for e in obs] == ["f"]))
 
     # the per-instruction weight table

@@ -93,9 +93,7 @@ def test_project_writes_artifacts_and_checks_equivalent(tmp_path, capsys):
     report = (tmp_path / "p1.dispatch.report.txt").read_text()
     assert "mode=dispatch" in report and "lengthBefore=28" in report
 
-    code, stdout, _ = invoke(
-        capsys, "check", str(src), str(tmp_path / "p1.dispatch.pglb"), "--depth", "6"
-    )
+    code, stdout, _ = invoke(capsys, "check", str(src), str(tmp_path / "p1.dispatch.pglb"))
     assert code == 0
     assert stdout.startswith("equivalent (checked=")
 
@@ -136,6 +134,73 @@ def test_check_finds_counterexample(tmp_path, capsys):
     assert code == 1
     assert "counterexample oracle=" in stdout
     assert "status=Terminated" in stdout and "status=Deadlocked" in stdout
+
+
+@pytest.mark.parametrize(
+    "p_text, q_text, flags, expected",
+    [
+        # The sampler printed `equivalent (checked=6, inconclusive=6)`:
+        # its runs of the silent loop were cut at the step budget.
+        ("f.m ; !", "f.m ; #1 ; \\#1", [], (
+            "counterexample oracle=\n"
+            "p: f.m=T status=Terminated\n"
+            "q: f.m=T status=Diverges\n"
+            "checked=2\n"
+        )),
+        # The sampler's runs were cut at one step, so it saw no stop.
+        ("f.m ; g.m ; !", "f.m ; g.m ; #0", ["--step-limit", "1"], (
+            "counterexample oracle=\n"
+            "p: f.m=T g.m=T status=Terminated\n"
+            "q: f.m=T g.m=T status=Deadlocked\n"
+            "checked=3\n"
+        )),
+        # A False reply skips to p's halt and to q's next request.
+        ("+f.m ; g.m ; !", "+f.m ; ! ; g.m", [], (
+            "counterexample oracle=F\n"
+            "p: f.m=F status=Terminated\n"
+            "q: f.m=F status=Running\n"
+            "checked=3\n"
+        )),
+    ],
+    ids=["diverges", "step-limit", "replies"],
+)
+def test_check_prints_a_counterexample_that_no_step_limit_hides(
+    p_text, q_text, flags, expected, tmp_path, capsys
+):
+    p = tmp_path / "p.pglb"
+    q = tmp_path / "q.pglb"
+    p.write_text(p_text + "\n")
+    q.write_text(q_text + "\n")
+    assert invoke(capsys, "check", str(p), str(q), *flags) == (1, expected, "")
+
+
+def test_check_refuses_an_aux_test_on_an_unbound_focus(tmp_path, capsys):
+    # The test would read a reply that no trace shows: a diagnostic of the
+    # program that holds it, before any state is explored.
+    p = tmp_path / "p.pglb"
+    q = tmp_path / "q.pglb"
+    p.write_text("f.m ; !\n")
+    q.write_text("f.m ; +x.get ; \\#1 ; !\n")
+    assert invoke(capsys, "check", str(p), str(q), "--aux", "x.*") == (1, "", (
+        f"{q}: position 2: aux-marked test +x.get reads a reply that no trace shows\n"
+        "pglblab: 1 diagnostic(s)\n"
+    ))
+
+
+@pytest.mark.parametrize(
+    "limit, message",
+    [("1", "closure exceeds the state limit of 1 states"),
+     ("5", "check product exceeds the state limit of 5 pairs")],
+)
+def test_check_refuses_more_states_than_the_state_limit(limit, message, tmp_path, capsys):
+    # Closures of 3 and 4 states, 6 pairs.
+    p = tmp_path / "p.pglb"
+    q = tmp_path / "q.pglb"
+    p.write_text("f.m ; f.m ; \\#2\n")
+    q.write_text("f.m ; f.m ; f.m ; \\#3\n")
+    assert invoke(capsys, "check", str(p), str(q), "--state-limit", limit) == (
+        1, "", f"pglblab: {message}\n"
+    )
 
 
 def test_explicit_maxr_triggers_diagnostics(tmp_path, capsys):
@@ -432,20 +497,26 @@ def test_gen_family_rejects_large_k(capsys):
 
 @pytest.mark.parametrize("depth", ["-1", "17", "1000"])
 def test_check_depth_out_of_range_is_usage_error(tmp_path, capsys, depth):
+    # `check` decides on the whole product and has no --depth: every value
+    # is out of range.
     prog = tmp_path / "p.pglb"
     prog.write_text("f.m ; !\n")
     with pytest.raises(SystemExit) as exc:
         main(["check", str(prog), str(prog), "--depth", depth])
     assert exc.value.code == 2
-    assert "0..16" in capsys.readouterr().err
+    assert "unrecognized arguments: --depth" in capsys.readouterr().err
 
 
-def test_check_depth_bounds_are_accepted(tmp_path, capsys):
-    prog = tmp_path / "p.pglb"
-    prog.write_text("+f.m ; ! ; !\n")
-    for depth in ("0", "16"):
-        code, stdout, _ = invoke(capsys, "check", str(prog), str(prog), "--depth", depth)
-        assert code == 0 and stdout.startswith("equivalent")
+def test_check_finds_a_difference_past_any_reply_depth(tmp_path, capsys):
+    # 20 replies deep, past the 16 the sampler's --depth allowed.
+    deep = 40 * "+f.m ; "
+    p = tmp_path / "p.pglb"
+    q = tmp_path / "q.pglb"
+    p.write_text(deep + "f.m ; !\n")
+    q.write_text(deep + "g.m ; !\n")
+    code, stdout, _ = invoke(capsys, "check", str(p), str(q))
+    assert code == 1
+    assert stdout.startswith(f"counterexample oracle={20 * 'F'}\n")
 
 
 def test_dispatch_refuses_output_beyond_state_limit(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 from dataclasses import replace
 
 import pytest
+from oracles import reference_observable_events
 
 from pglblab.family import DEFAULT_KIND_WEIGHTS, MAX_RANDOM_LEN, gen_scaling_family, gen_random
 from pglblab.isa import Halt, ToolParams, parse_program, render_program, validate
-from pglblab.vm import Scripted, Status, observable_events, run
+from pglblab.vm import Scripted, Status, run
 
 FAMILY_K1_TEXT = (
     "-bool1.get ; #3 ; set:1:1 ; #6 ; -bool1.get ; #3 ; set:1:3 ; #2 ; ! ; "
@@ -51,7 +52,7 @@ def test_family_selects_every_branch_pair(k):
             script = (False,) * (i - 1) + (True,) + (False,) * (j - 1) + (True,)
             trace = run(p, params, Scripted(script))
             assert trace.final is Status.TERMINATED, (i, j)
-            obs = observable_events(trace.events, params.aux)
+            obs = reference_observable_events(trace.events, params.aux)
             non_test = [ev.focus for ev in obs if ev.focus != "bool1"]
             assert non_test == [f"a{i}", f"ap{j}"], (i, j)
 

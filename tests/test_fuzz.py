@@ -2,8 +2,7 @@
 a typed diagnostic, never a traceback.
 
 Limits stay small so no example asks for much time or memory: state
-limits up to 10^4, step limits up to 10^3, `check --depth` up to 4,
-family members up to k=3, random programs up to 50 instructions and
+limits up to 10^4, step limits up to 10^3, family members up to k=3, random programs up to 50 instructions and
 `bench --kmax` up to 2.  The commands that write files draw where they
 write: the work directory, an existing file, a missing directory and, when
 permissions bind (not as root), a read-only directory.  Explicit examples
@@ -93,7 +92,7 @@ def command_lines(draw):
         argv += ["--mode", draw(st.sampled_from(["specialize", "dispatch"])), "--out-dir", place]
         argv += draw(st.sampled_from([[], ["--thread"]]))
     elif command == "check":
-        argv += ["{dir}/q.pglb", "--depth", str(draw(st.integers(0, 4)))]
+        argv += ["{dir}/q.pglb"]
     return argv, files
 
 
@@ -132,6 +131,7 @@ NEGATIVE_LIMITS = [
     ("run", "--step-limit", "-3"),
     ("mid", "--state-limit", "-1"),
     ("project", "--mode", "dispatch", "--out-dir", "{dir}", "--state-limit", "-1"),
+    ("check", "{dir}/q.pglb", "--state-limit", "-1"),
 ]
 
 
@@ -140,10 +140,12 @@ NEGATIVE_LIMITS = [
 @refusal("f.m ;; !", "mid")
 @refusal("set:1000000:1 ; !", "mid")
 @refusal("set:2:1 ; !", "run", "--maxr", "1")
-@refusal("set:2:1 ; !", "check", "{dir}/q.pglb", "--maxr", "1", "--depth", "2")
+@refusal("set:2:1 ; !", "check", "{dir}/q.pglb", "--maxr", "1")
 @refusal("+f.m ; !", "run", "--steps", "10")
 @refusal("bool1.foo ; !", "run", "--steps", "10")
-@refusal("bool1.foo ; !", "check", "{dir}/q.pglb", "--depth", "2", "--step-limit", "10")
+@refusal("bool1.foo ; !", "check", "{dir}/q.pglb", "--step-limit", "10")
+@refusal("f.m ; +x.get ; \\#1 ; !", "check", "{dir}/q.pglb", "--aux", "x.*")
+@refusal("f.m ; f.m ; !", "check", "{dir}/q.pglb", "--state-limit", "1")
 @refusal("f.m ; f.m ; !", "mid", "--state-limit", "1")
 @refusal("f.m ; f.m ; !", "project", "--mode", "specialize", "--out-dir", "{dir}", "--state-limit", "1")
 @refusal("set:1:99999999999999999999 ; i#1", "project", "--mode", "dispatch", "--out-dir", "{dir}")

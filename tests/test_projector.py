@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import reference_observable_events
 
 from pglblab.analyzer import StateNode, build_state_graph, compute_mid, program_mid
 from pglblab.family import gen_random, gen_scaling_family
@@ -11,6 +12,7 @@ from pglblab.isa import (
     BwdJump,
     FwdJump,
     Halt,
+    InvalidProgram,
     NegTest,
     Plain,
     PosTest,
@@ -22,10 +24,6 @@ from pglblab.isa import (
 )
 import pglblab.projector as projector
 from pglblab.projector import (
-    CHECK_STEP_LIMIT,
-    Counterexample,
-    OracleSuite,
-    Verdict,
     check_equivalence,
     dispatch_project,
     specialize,
@@ -39,7 +37,7 @@ from pglblab.vm import (
     Status,
     execute,
     initial_config,
-    observable_events,
+    observable_steps,
     step,
 )
 
@@ -56,10 +54,6 @@ PGLB_WEIGHTS = {
     "bwd_jump": 2,
     "halt": 2,
 }
-
-
-def equivalent(p, q, params, depth=10):
-    return check_equivalence(p, q, params, OracleSuite(exhaustive_depth=depth))
 
 
 def specialize_program(p, params):
@@ -108,7 +102,7 @@ def test_specialize_neg_test_block_slots_follow_reply_routing():
     report = specialize(build_state_graph(parse_program("-f.m ; ! ; #0"), P11))
     assert render_program(report.output) == "-f.m ; #3 ; #1 ; #0 ; !"
     p = parse_program("-f.m ; ! ; #0")
-    assert equivalent(p, report.output, P11).equivalent
+    assert check_equivalence(p, report.output, P11).equivalent
 
 
 def test_specialize_deadlock_branches_become_distance_zero_jumps():
@@ -140,7 +134,7 @@ def test_specialize_unfolds_register_states():
     rows = report.relocation.to_csv().splitlines()[1:]
     pcs = [int(row.split(":")[0]) for row in rows]
     assert pcs.count(5) == 2
-    assert equivalent(p, report.output, P12).equivalent
+    assert check_equivalence(p, report.output, P12).equivalent
 
 
 def test_specialize_keeps_mid_flat_without_aux():
@@ -196,7 +190,7 @@ def test_dispatch_test_expanded_before_wide_block():
     report = dispatch_project(parse_program("+f.m ; set:1:1 ; !"), P12)
     assert render_program(report.output) == "+f.m ; #2 ; #3 ; r1b1.set:F ; r1b0.set:T ; !"
     p = parse_program("+f.m ; set:1:1 ; !")
-    assert equivalent(p, report.output, report.output_params(P12)).equivalent
+    assert check_equivalence(p, report.output, report.output_params(P12)).equivalent
 
 
 def test_dispatch_out_of_range_jumps_normalize_to_deadlock():
@@ -224,7 +218,7 @@ def test_dispatch_fresh_cell_prefix_avoids_collisions():
     p = parse_program("r1b0.get ; set:1:1 ; i#1 ; !")
     report = dispatch_project(p, P11)
     assert report.aux_foci == {"rr1b0"}
-    assert equivalent(p, report.output, report.output_params(P11)).equivalent
+    assert check_equivalence(p, report.output, report.output_params(P11)).equivalent
 
 
 def test_dispatch_length_bound():
@@ -272,7 +266,7 @@ def test_projections_preserve_observable_behavior_on_random_programs():
         for proj in (specialize_program, dispatch_project):
             report = proj(p, P23)
             assert is_pglb(report.output)
-            verdict = equivalent(p, report.output, report.output_params(P23))
+            verdict = check_equivalence(p, report.output, report.output_params(P23))
             assert verdict.equivalent, (seed, proj.__name__, verdict.counterexample)
 
 
@@ -370,7 +364,7 @@ def test_thread_jumps_is_idempotent_and_behavior_preserving(seed, length):
     assert len(threaded) == len(p)
     assert thread_jumps(threaded) == threaded
     params = ToolParams(maxr=2, maxn=3, step_limit=200)
-    verdict = equivalent(p, threaded, params, depth=6)
+    verdict = check_equivalence(p, threaded, params)
     assert verdict.equivalent, (str(p), verdict.counterexample)
 
 
@@ -499,24 +493,24 @@ def test_specialize_relocation_csv_renders_each_state():
 
 def test_check_equivalence_accepts_identical_programs():
     p = parse_program("+f.m ; ! ; g.n ; !")
-    verdict = equivalent(p, p, ToolParams())
+    verdict = check_equivalence(p, p, ToolParams())
     assert verdict.equivalent
     assert verdict.counterexample is None
     assert verdict.checked >= 2
 
 
 def test_check_equivalence_distinguishes_final_status():
-    verdict = equivalent(parse_program("f.m ; !"), parse_program("f.m ; #0"), ToolParams())
+    verdict = check_equivalence(parse_program("f.m ; !"), parse_program("f.m ; #0"), ToolParams())
     assert not verdict.equivalent
     cex = verdict.counterexample
-    assert cex.oracle == "exhaustive:"
+    assert cex.oracle == ""
     assert cex.p_final is Status.TERMINATED
     assert cex.q_final is Status.DEADLOCKED
     assert cex.p_events == cex.q_events
 
 
 def test_check_equivalence_distinguishes_observable_events():
-    verdict = equivalent(parse_program("f.m ; !"), parse_program("g.m ; !"), ToolParams())
+    verdict = check_equivalence(parse_program("f.m ; !"), parse_program("g.m ; !"), ToolParams())
     assert not verdict.equivalent
     assert verdict.counterexample.p_events[0].focus == "f"
     assert verdict.counterexample.q_events[0].focus == "g"
@@ -524,35 +518,82 @@ def test_check_equivalence_distinguishes_observable_events():
 
 def test_check_equivalence_ignores_aux_differences():
     params = ToolParams(aux=AuxSpec.parse("aux1.*"))
-    verdict = equivalent(parse_program("aux1.m ; f.m ; !"), parse_program("f.m ; !"), params)
+    verdict = check_equivalence(parse_program("aux1.m ; f.m ; !"), parse_program("f.m ; !"), params)
     assert verdict.equivalent
 
 
-def test_check_equivalence_reports_step_limited_runs_as_inconclusive():
+def test_check_equivalence_ignores_the_step_limit():
+    # A loop that reads a reply each lap is proven, with the same pairs,
+    # whatever the step limit.
     p = parse_program("+f.m ; \\#1 ; !")
-    params = ToolParams(step_limit=50)
-    verdict = equivalent(p, p, params, depth=4)
-    assert verdict.equivalent
-    assert verdict.inconclusive > 0
+    verdicts = {check_equivalence(p, p, ToolParams(step_limit=n)) for n in (0, 1, 50, 10**6)}
+    assert len(verdicts) == 1
+    assert verdicts.pop().equivalent
+
+
+def test_check_equivalence_tells_a_silent_loop_from_a_stop():
+    # The sampler called these equivalent: its runs of q were cut at the
+    # step budget, and a cut run was compared on its events only.
+    p = parse_program("f.m ; !")
+    for q in ("f.m ; #1 ; \\#1", "f.m ; set:1:1 ; i\\#1"):
+        verdict = check_equivalence(p, parse_program(q), P11)
+        assert not verdict.equivalent
+        cex = verdict.counterexample
+        assert (cex.p_final, cex.q_final) == (Status.TERMINATED, Status.DIVERGES), q
+        assert cex.p_events == cex.q_events
 
 
 def test_check_equivalence_catches_mismatch_on_common_prefix_of_cut_runs():
     # Both loop forever, but emit different requests while doing so.
     p = parse_program("f.m ; \\#1")
     q = parse_program("g.m ; \\#1")
-    verdict = equivalent(p, q, ToolParams(step_limit=50))
+    verdict = check_equivalence(p, q, ToolParams(step_limit=50))
     assert not verdict.equivalent
 
 
-def test_check_equivalence_seeded_oracles_cover_deep_branches():
-    # Identical except at a branch deeper than the exhaustive depth; the
-    # seeded streams still reach it.
-    deep = 8 * "+f.m ; "
+def test_check_equivalence_finds_a_difference_at_any_depth():
+    # Identical but for the request after 40 tests; the sampler's depth
+    # stopped at 16 replies.
+    deep = 40 * "+f.m ; "
     p = parse_program(deep + "f.m ; !")
     q = parse_program(deep + "g.m ; !")
-    verdict = equivalent(p, q, ToolParams(), depth=2)
+    verdict = check_equivalence(p, q, ToolParams())
     assert not verdict.equivalent
-    assert verdict.counterexample.oracle.startswith("seeded:")
+    cex = verdict.counterexample
+    # Each False skips a test: 20 of them reach the last request.
+    assert cex.oracle == 20 * "F"
+    assert cex.p_events[:-1] == cex.q_events[:-1]
+    assert cex.p_events[-1].focus == "f" and cex.q_events[-1].focus == "g"
+
+
+def test_check_equivalence_refuses_an_aux_test_on_an_unbound_focus():
+    # The test reads a reply no trace shows, so no oracle can be named.
+    p = parse_program("f.m ; +x.get ; \\#1 ; !")
+    params = ToolParams(aux=AuxSpec.parse("x.*"))
+    with pytest.raises(InvalidProgram) as refused:
+        check_equivalence(parse_program("f.m ; !"), p, params)
+    assert refused.value.program is p
+    assert [str(d) for d in refused.value.diagnostics] == [
+        "position 2: aux-marked test +x.get reads a reply that no trace shows"
+    ]
+    # On a Boolean cell the same test needs no reply.
+    cells = replace(params, cell_foci=frozenset({"x"}))
+    assert not check_equivalence(p, p, cells).counterexample
+
+
+def test_check_equivalence_refuses_more_states_than_the_state_limit():
+    # The closure keeps a state per position, 5; the product meets 3 pairs.
+    p = parse_program("+f.m ; g.n ; #1 ; #1 ; !")
+    assert check_equivalence(p, p, ToolParams(state_limit=5)).checked == 3
+    with pytest.raises(ValueError, match="^closure exceeds the state limit of 4 states$"):
+        check_equivalence(p, p, ToolParams(state_limit=4))
+    # Loops of two and of three requests: closures of 3 and 4 states, and
+    # a product of 6 pairs.
+    p = parse_program("f.m ; f.m ; \\#2")
+    q = parse_program("f.m ; f.m ; f.m ; \\#3")
+    assert check_equivalence(p, q, ToolParams(state_limit=6)).checked == 6
+    with pytest.raises(ValueError, match="^check product exceeds the state limit of 5 pairs$"):
+        check_equivalence(p, q, ToolParams(state_limit=5))
 
 
 def test_dispatch_checks_output_length_against_state_limit():
@@ -580,7 +621,13 @@ def test_projections_do_no_analysis(monkeypatch):
     assert is_pglb(dispatch_project(p, P12).output)
 
 
-# --- check_equivalence against a whole-check vm.step reference ---
+# --- check_equivalence against a step-by-step sampler ---
+
+#: The sampler's exhaustive reply depth, its seeded oracles, and its step
+#: budget per run.
+REFERENCE_DEPTH = 6
+REFERENCE_SEEDS = (101, 102, 103, 104, 105)
+REFERENCE_BUDGET = 200
 
 
 def step_reply_prefixes(p, params, depth, step_limit):
@@ -620,63 +667,65 @@ def step_run_bounded(p, params, oracle, step_limit):
     return tuple(events), Status.STEP_LIMIT
 
 
-def reference_check(p, q, params, suite):
-    """Reference check: list both programs' reply prefixes, then run both
-    from the start on every prefix of the union in sorted order, then on
-    every seed, and report the first disagreement."""
-    budget = min(params.step_limit, CHECK_STEP_LIMIT)
+def reference_check(p, q, params):
+    """The sampler `check` once was, step by step: list both programs'
+    reply prefixes up to REFERENCE_DEPTH, run both from the start on every
+    prefix of the union in sorted order, then on every seed, each run
+    within REFERENCE_BUDGET steps.  Returns the label of the first oracle
+    on which the two disagree, or None.  Runs that both stop must agree
+    in events and status; a run cut by the budget or waiting for a reply
+    only on the common prefix of the events."""
     stops = (Status.TERMINATED, Status.DEADLOCKED)
-    prefixes = step_reply_prefixes(p, params, suite.exhaustive_depth, budget)
-    prefixes |= step_reply_prefixes(q, params, suite.exhaustive_depth, budget)
+    prefixes = set()
+    for x in (p, q):
+        prefixes |= step_reply_prefixes(x, params, REFERENCE_DEPTH, REFERENCE_BUDGET)
     oracles = [("exhaustive:" + "".join("T" if r else "F" for r in sigma), Scripted(sigma))
                for sigma in sorted(prefixes)]
-    oracles += [(f"seeded:{seed}", Seeded(seed)) for seed in suite.seeds]
-    checked = inconclusive = 0
+    oracles += [(f"seeded:{seed}", Seeded(seed)) for seed in REFERENCE_SEEDS]
     for label, oracle in oracles:
         (p_ev, p_final), (q_ev, q_final) = (
-            step_run_bounded(x, params, oracle, budget) for x in (p, q)
+            step_run_bounded(x, params, oracle, REFERENCE_BUDGET) for x in (p, q)
         )
-        po = observable_events(p_ev, params.aux)
-        qo = observable_events(q_ev, params.aux)
-        checked += 1
+        po = reference_observable_events(p_ev, params.aux)
+        qo = reference_observable_events(q_ev, params.aux)
         if p_final in stops and q_final in stops:
             agree = po == qo and p_final == q_final
         else:
-            inconclusive += 1
             m = min(len(po), len(qo))
             agree = po[:m] == qo[:m]
         if not agree:
-            cex = Counterexample(label, po, qo, p_final, q_final)
-            return Verdict(False, cex, checked, inconclusive)
-    return Verdict(True, None, checked, inconclusive)
+            return label
+    return None
 
 
 def _check_cases():
     params = ToolParams(maxr=1, maxn=2, step_limit=200)
     p = parse_program("+f.m ; set:1:2 ; i#1 ; g.n ; +h.m ; ! ; #0")
     report = dispatch_project(p, params)
-    yield "equivalent", p, report.output, report.output_params(params), (True, None, 8, 0)
+    yield "equivalent", p, report.output, report.output_params(params), (True, "", 4)
     p = parse_program("+f.m ; -g.n ; h.m ; +f.n ; !")
     q = parse_program("+f.m ; -g.n ; h.m ; +f.n ; #0")
-    yield "different", p, q, params, (False, "exhaustive:FT", 2, 0)
-    # On a False first reply the loop requests g.n forever: cut at 200 steps.
+    yield "different", p, q, params, (False, "FT", 6)
+    # On a False first reply the loop requests g.n forever: proven, where
+    # the sampler cut it at its budget.
     loop = parse_program("+f.m ; ! ; set:1:1 ; g.n ; i\\#1")
     report = dispatch_project(loop, params)
-    yield "loop", loop, report.output, report.output_params(params), (True, None, 7, 2)
+    yield "loop", loop, report.output, report.output_params(params), (True, "", 3)
 
 
 @pytest.mark.parametrize("case", list(_check_cases()), ids=lambda case: case[0])
 def test_check_equivalence_matches_a_step_by_step_reference(case):
     _, p, q, params, expected = case
-    suite = OracleSuite(exhaustive_depth=6)
-    verdict = check_equivalence(p, q, params, suite)
-    label = verdict.counterexample.oracle if verdict.counterexample else None
-    assert (verdict.equivalent, label, verdict.checked, verdict.inconclusive) == expected
-    assert reference_check(p, q, params, suite) == verdict
+    verdict = check_equivalence(p, q, params)
+    oracle = verdict.counterexample.oracle if verdict.counterexample else ""
+    assert (verdict.equivalent, oracle, verdict.checked) == expected
+    assert (reference_check(p, q, params) is None) is verdict.equivalent
 
 
-def test_check_equivalence_matches_the_reference_on_random_programs():
-    params = ToolParams(maxr=2, maxn=3, step_limit=100)
+def random_partners():
+    """(p, q, params) on random programs: each against itself, a
+    one-instruction mutant, and its dispatch output."""
+    params = ToolParams(maxr=2, maxn=3)
     for seed in range(120):
         p = gen_random(9000 + seed, 4 + seed % 9, params)
         i = seed % len(p)
@@ -684,66 +733,74 @@ def test_check_equivalence_matches_the_reference_on_random_programs():
             p.instructions[:i] + gen_random(seed, 1, params).instructions + p.instructions[i + 1:]
         )
         report = dispatch_project(p, params)
-        partners = ((p, params), (mutant, params), (report.output, report.output_params(params)))
-        for q, q_params in partners:
-            for depth in (0, 3, 6):
-                suite = OracleSuite(exhaustive_depth=depth)
-                assert check_equivalence(p, q, q_params, suite) == reference_check(
-                    p, q, q_params, suite
-                ), (seed, depth, str(p), str(q))
+        yield p, p, params
+        yield p, mutant, params
+        yield p, report.output, report.output_params(params)
 
 
-def counted_check(monkeypatch, p, q, suite=OracleSuite()):
-    """(verdict, number of execute calls) of checking p against q."""
-    calls = []
+def test_check_equivalence_matches_the_reference_on_random_programs():
+    # The product finds every difference the sampler finds; so a pair it
+    # proves, the sampler passes.  The sampler misses differences the
+    # product finds: a stop against a run that goes on, beyond its budget.
+    missed = 0
+    for p, q, params in random_partners():
+        verdict = check_equivalence(p, q, params)
+        found = reference_check(p, q, params)
+        assert found is None or not verdict.equivalent, (found, str(p), str(q))
+        missed += found is None and not verdict.equivalent
+    assert missed > 0
 
-    def counted(*args):
-        calls.append(args)
-        return execute(*args)
 
-    monkeypatch.setattr(projector, "execute", counted)
-    return check_equivalence(p, q, ToolParams(), suite), len(calls)
+def replay(x, params, replies):
+    """(observable events, final status) of `x` run from the start on the
+    script `replies`, for at most 10,000 steps; the status is None where
+    the run waits for a reply past the script."""
+    events, final, _ = execute(x, initial_config(x, params, Scripted(replies)), 10_000)
+    return reference_observable_events(events, params.aux), final
+
+
+def test_counterexamples_replay_as_differences():
+    # Each counterexample's replies, run as an oracle script on both
+    # sides, give runs that begin with its events and differ in events or
+    # status; a side it shows diverging is cut at the step limit.
+    found = 0
+    for p, q, params in random_partners():
+        cex = check_equivalence(p, q, params).counterexample
+        if cex is None:
+            continue
+        found += 1
+        replies = tuple(r == "T" for r in cex.oracle)
+        runs = [replay(x, params, replies) for x in (p, q)]
+        assert runs[0] != runs[1], (str(p), str(q), cex)
+        for (events, final), shown, closed in (
+            (runs[0], cex.p_events, cex.p_final), (runs[1], cex.q_events, cex.q_final)
+        ):
+            assert events[: len(shown)] == shown, (str(p), str(q), cex)
+            if closed is Status.DIVERGES:
+                assert final is Status.STEP_LIMIT, (str(p), str(q), cex)
+            elif closed is not Status.RUNNING:
+                assert (events, final) == (shown, closed), (str(p), str(q), cex)
+    assert found > 30
 
 
 def test_check_equivalence_runs_each_waiting_side_once_per_node(monkeypatch):
-    # The joint reply tree of p with itself has 5 nodes (root, F, T, TF,
-    # TT), two execute calls each: 10.  Every seed's path ends at a node
-    # where both sides stopped, so the seeded runs make no call.  Running
-    # each seed from position 1 took 10 more.
+    # The product of `+f.m ; +g.n ; !` with itself meets 4 pairs: the
+    # start, a halt after False, g.n after True, and a deadlock after
+    # g.n's False.  Each side steps once at each of the two pairs that
+    # wait at an event: 4 steps.
+    calls = []
+
+    def counted(x, params):
+        start, after = observable_steps(x, params)
+
+        def counted_after(state):
+            calls.append(state)
+            return after(state)
+
+        return start, counted_after
+
+    monkeypatch.setattr(projector, "observable_steps", counted)
     p = parse_program("+f.m ; +g.n ; !")
-    verdict, calls = counted_check(monkeypatch, p, p)
-    assert (verdict.equivalent, verdict.checked, verdict.inconclusive) == (True, 8, 0)
-    assert calls == 5 * 2
-
-
-def test_seeded_runs_keep_a_result_the_walk_already_has(monkeypatch):
-    # A silent loop stops at the step budget at the root: 2 calls, and
-    # the 5 seeded runs reuse them (re-running them took 10 more).
-    loop = parse_program("#1 ; \\#1")
-    verdict, calls = counted_check(monkeypatch, loop, loop)
-    assert (verdict.equivalent, verdict.checked, verdict.inconclusive) == (True, 6, 6)
-    assert calls == 2
-
-
-def test_seeded_runs_resume_once_per_suite_entry(monkeypatch):
-    # Duplicate seeds are two oracles, as they were when each ran alone.
-    p = parse_program("+f.m ; +g.n ; !")
-    verdict, _ = counted_check(monkeypatch, p, p, OracleSuite(seeds=(7, 7)))
-    assert (verdict.equivalent, verdict.checked, verdict.inconclusive) == (True, 5, 0)
-
-
-def test_seeded_runs_continue_from_the_exhaustive_depth():
-    # At depths 0..2 both sides still wait, so each seeded run goes on
-    # from there with the seed's stream and the steps left: the verdicts,
-    # cut runs included, equal the step-by-step reference, which runs
-    # each seed from position 1.
-    p = parse_program("+f.m ; -g.n ; +h.m ; set:1:2 ; +f.n ; i\\#1 ; !")
-    mutant = parse_program("+f.m ; -g.n ; +h.m ; set:1:2 ; +f.n ; i\\#1 ; #0")
-    for step_limit in (7, 11, 300):
-        params = ToolParams(maxr=1, maxn=2, step_limit=step_limit)
-        report = dispatch_project(p, params)
-        for q, q_params in ((report.output, report.output_params(params)), (mutant, params)):
-            for depth in (0, 1, 2):
-                suite = OracleSuite(exhaustive_depth=depth, seeds=(5, 6, 5, 9))
-                verdict = check_equivalence(p, q, q_params, suite)
-                assert verdict == reference_check(p, q, q_params, suite), (str(q), depth)
+    verdict = check_equivalence(p, p, ToolParams())
+    assert (verdict.equivalent, verdict.checked) == (True, 4)
+    assert len(calls) == 2 * 2

@@ -5,7 +5,7 @@ from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import reference_execute
+from oracles import reference_execute, reference_observable_events
 
 from pglblab.analyzer import build_state_graph
 from pglblab.family import gen_scaling_family, gen_random
@@ -14,13 +14,13 @@ from pglblab.isa import (
     BasicInstruction,
     BwdJump,
     Halt,
+    InputError,
     InvalidProgram,
     NegTest,
     Plain,
     PosTest,
     Program,
     ToolParams,
-    basic_of,
     parse_program,
     render_instruction,
 )
@@ -28,19 +28,17 @@ import pglblab.vm as vm
 from pglblab.projector import dispatch_project, specialize, thread_jumps
 from pglblab.vm import (
     MachineConfig,
-    ObservableEvent,
     OracleExhausted,
     Scripted,
     Seeded,
     Status,
     Trace,
-    TraceEvent,
     UnknownCellMethod,
     bound_cell_foci,
     cell_reply,
     execute,
     initial_config,
-    observable_events,
+    observable_steps,
     parse_oracle_script,
     run,
     step,
@@ -198,7 +196,7 @@ def test_family_first_branch_pair_selected_by_two_trues():
     params = replace(params, cell_foci=frozenset())  # route bool1 to the oracle
     t = run(p, params, Scripted((True, True)))
     assert t.final is Status.TERMINATED
-    foci = [ev.focus for ev in observable_events(t.events, params.aux)]
+    foci = [ev.focus for ev in reference_observable_events(t.events, params.aux)]
     assert foci == ["bool1", "bool1", "a1", "ap1"]
 
 
@@ -207,7 +205,7 @@ def test_family_all_false_halts_in_first_chunk():
     params = replace(params, cell_foci=frozenset())
     t = run(p, params, Scripted((False, False)))
     assert t.final is Status.TERMINATED
-    obs = observable_events(t.events, params.aux)
+    obs = reference_observable_events(t.events, params.aux)
     assert [ev.focus for ev in obs] == ["bool1", "bool1"]
 
 
@@ -241,7 +239,7 @@ def test_observable_trace_filters_aux_and_non_basics():
     p = parse_program("aux1.m ; f.m ; #2 ; ! ; !")
     params = ToolParams(aux=AuxSpec.parse("aux1.*"))
     t = run(p, params, Scripted(()))
-    obs = observable_events(t.events, params.aux)
+    obs = reference_observable_events(t.events, params.aux)
     assert [(ev.focus, ev.method, ev.reply) for ev in obs] == [("f", "m", True)]
     assert t.final is Status.TERMINATED
 
@@ -340,9 +338,9 @@ def test_run_equals_step_by_step_replay(cells, aux):
             exhausted += isinstance(got, tuple)
             if not isinstance(got, tuple):
                 ref = replay_by_step(p, params, oracle)
-                assert observable_events(got.events, params.aux) == observable_events(
-                    ref.events, params.aux
-                )
+                assert reference_observable_events(
+                    got.events, params.aux
+                ) == reference_observable_events(ref.events, params.aux)
                 assert got.final == ref.final
     assert exhausted > 0  # the short scripts do run out
 
@@ -514,42 +512,46 @@ def test_reply_free_cycles_match_the_reference(monkeypatch):
             assert outcomes[0][1] is Status.STEP_LIMIT, (name, limit)
 
 
-def reference_observable_events(events, aux):
-    """`observable_events` one event at a time."""
-    out = []
-    for ev in events:
-        b = basic_of(ev.instruction)
-        if b is not None and not aux(b):
-            assert ev.reply is not None
-            out.append(ObservableEvent(b.focus, b.method, ev.reply))
-    return tuple(out)
+def closed_events(p, params, replies, count):
+    """The first `count` observable events of `observable_steps` on `p`,
+    each oracle test answered by the next of `replies`, and the closed
+    state after them."""
+    state, after = observable_steps(p, params)
+    replies = iter(replies)
+    events = []
+    while len(events) < count and type(state) is not Status:
+        reads, outcomes = after(state)
+        event, state = outcomes[next(replies) if reads else True]
+        events.append(event)
+    return tuple(events), state
 
 
 @pytest.mark.parametrize("aux", ["", "f.*", "*.m"])
 def test_observable_events_match_a_per_event_projection(aux):
+    # The closed runs of `observable_steps`, fed the replies a run read,
+    # make the events a per-event projection of that run shows, and stop
+    # as it stops.  A closed run that diverges is one the run cut at its
+    # step limit.
     aux = AuxSpec.parse(aux)
     rng = random.Random(17)
-    traces = [
-        run(p, replace(params, aux=aux, step_limit=4096), Seeded(5)).events
-        for _, p, params in looper_runs()
-    ]
+    cases = [(p, replace(params, aux=aux, step_limit=4096), 5) for _, p, params in looper_runs()]
     for seed in range(200):
-        params = ToolParams(maxr=2, maxn=3, step_limit=60)
+        params = ToolParams(maxr=2, maxn=3, step_limit=60, aux=aux)
         p = with_cell_methods(gen_random(seed, 1 + seed % 12, params), rng)
-        for cells in _BINDINGS:
-            run_params = replace(params, cell_foci=cells)
-            with contextlib.suppress(InvalidProgram):
-                traces.append(run(p, run_params, Seeded(seed)).events)
-    # Events not shared by position and outcome, and a hand-made list.
-    traces += [tuple(TraceEvent(*e) for e in t) for t in traces[-50:]]
-    made = [TraceEvent(1, parse_program("f.m").instructions[0], r) for r in (True, False)]
-    traces.append(made * 3)
-    for events in traces:
-        assert observable_events(events, aux) == reference_observable_events(events, aux)
-    unanswered = [TraceEvent(1, parse_program("+g.n").instructions[0], None)]
-    for project in (observable_events, reference_observable_events):
-        with pytest.raises(AssertionError):
-            project(unanswered, lambda b: False)
+        cases += [(p, replace(params, cell_foci=cells), seed) for cells in _BINDINGS]
+    ends = []
+    for p, params, seed in cases:
+        # An aux-marked test on an unbound focus is refused by the closure.
+        with contextlib.suppress(InvalidProgram, InputError):
+            oracle = Seeded(seed)
+            trace = run(p, params, oracle)
+            shown = reference_observable_events(trace.events, aux)
+            events, end = closed_events(p, params, oracle.replies, len(shown))
+            assert events == shown, (str(p), params)
+            if trace.final is not Status.STEP_LIMIT:
+                assert end is trace.final, (str(p), params)
+            ends.append(end if type(end) is Status else Status.RUNNING)
+    assert {Status.TERMINATED, Status.DEADLOCKED, Status.DIVERGES, Status.RUNNING} <= set(ends)
 
 
 def test_oracle_exhausted_message_counts_used_replies():
