@@ -2,11 +2,11 @@
 
 One row per k: generate, measure MID, run both projections (the specialize
 output then goes through `thread_jumps`), prove each output equivalent to
-the member under the member's own cell binding, and record lengths, delays, state-graph size, and per-phase
-wall time.  Each program is analysed once: the member, the threaded
-specialize output and the dispatch output.  Rows run one after another, so
-no row's timings include another's work, and are deterministic apart from
-the wall-clock columns.
+the member under the member's own cell binding, and record lengths,
+delays, state-graph size, and per-phase wall time.  Each program is
+analysed once: the member, the threaded specialize output and the dispatch
+output.  Rows run one after another, so no row's timings include another's
+work, and are deterministic apart from the wall-clock columns.
 """
 from __future__ import annotations
 

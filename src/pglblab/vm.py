@@ -8,10 +8,10 @@ only tests do.
 
 `execute` is the interpreter loop; `run` and `step` are calls into it,
 and `observable_steps` takes the same steps for `check`.  Each call
-decodes a position once, the first time it reaches it, into a step rule that holds the position's events and targets, so a step is one
-dict lookup and one branch on the rule's opcode.  Rules are kept per call
-and per visited position; `cell_reply` stays the one cell law, read into
-a rule when it is decoded.
+decodes a position once, the first time it reaches it, into a step rule
+that holds the position's events and targets, so a step is one dict
+lookup and one branch on the rule's opcode.  `cell_reply` stays the one
+cell law, read into a rule when it is decoded.
 
 A run that reads no reply between two backward transfers is deterministic
 there, so `execute` watches the state (next pc, registers, cells) at those
@@ -353,7 +353,7 @@ def observable_steps(p: Program, params: ToolParams) -> tuple:
     length = len(ins)
     aux, limit = params.aux, params.state_limit
     slot = {focus: i for i, focus in enumerate(sorted(bound_cell_foci(p, params)))}
-    for pos, u in enumerate(ins, 1) if aux.patterns else ():
+    for pos, u in enumerate(ins, 1) if any(f not in slot for f, _ in aux.patterns) else ():
         if type(u) in (PosTest, NegTest) and u.basic.focus not in slot and aux(u.basic):
             message = f"aux-marked test {render_instruction(u)} reads a reply that no trace shows"
             raise InvalidProgram(p, [Diagnostic(pos, message)])
@@ -390,9 +390,9 @@ def observable_steps(p: Program, params: ToolParams) -> tuple:
             closed[state] = Status.DIVERGES
             walk.append(state)
             pc = state[0]
+            u = ins[pc - 1]
             if pc not in rules:
-                rules[pc] = _decode(ins[pc - 1], pc, length, slot)
-            u = rules[pc][1].instruction
+                rules[pc] = _decode(u, pc, length, slot)
             if type(u) in BASIC_KINDS and not aux(u.basic):
                 end = state
                 break

@@ -2,8 +2,8 @@
 a typed diagnostic, never a traceback.
 
 Limits stay small so no example asks for much time or memory: state
-limits up to 10^4, step limits up to 10^3, family members up to k=3, random programs up to 50 instructions and
-`bench --kmax` up to 2.  The commands that write files draw where they
+limits up to 10^4, step limits up to 10^3, family members up to k=3,
+random programs up to 50 instructions and `bench --kmax` up to 2.  The commands that write files draw where they
 write: the work directory, an existing file, a missing directory and, when
 permissions bind (not as root), a read-only directory.  Explicit examples
 run one input per kind of refusal on every run, `bench --kmax` out of
