@@ -9,9 +9,9 @@ only tests do.
 `execute` is the interpreter loop; `run` and `step` are calls into it,
 and `observable_steps` takes the same steps for `check`.  Each call
 decodes a position once, the first time it reaches it, into a step rule
-that holds the position's events and targets, so a step is one dict
-lookup and one branch on the rule's opcode.  `cell_reply` stays the one
-cell law, read into a rule when it is decoded.
+that holds the position's events, each with its trace line, and targets,
+so a step is one list index and one branch on the rule's opcode.
+`cell_reply` stays the one cell law, read into a rule when it is decoded.
 
 A run that reads no reply between two backward transfers is deterministic
 there, so `execute` watches the state (next pc, registers, cells) at those
@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import cycle, islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .isa import (
@@ -142,6 +143,8 @@ class TraceEvent(NamedTuple):
     position: int
     instruction: Instruction
     reply: bool | None
+    #: Its `trace_text` line: "{position} {instruction}" and, for a reply, " reply=T" or " reply=F".
+    line: str
 
 
 @dataclass(frozen=True)
@@ -175,22 +178,23 @@ def initial_config(p: Program, params: ToolParams, oracle: ReplyOracle) -> Machi
 
 # Step rules.  A position is decoded once per run, the first time the run
 # reaches it, into (op, event on True, target on True, event on False,
-# target on False, operand).  A target is a position, 0 where the run stops
-# there; a rule whose outcome does not depend on a reply has the same
-# event and target in both slots.
+# target on False, operand), each event holding its trace line.  A target
+# is a position, 0 where the run stops there; a rule whose outcome does
+# not depend on a reply has the same event and target in both slots.
 _GO, _ASK, _CELL, _SET, _IND = range(5)
 
 #: Builds a named tuple, such as a TraceEvent from a (position, instruction,
-#: reply) tuple, without its Python-level `__new__`, at about half the
+#: reply, line) tuple, without its Python-level `__new__`, at about half the
 #: cost: a run that visits each position once pays one or two per step.
 _event = tuple.__new__
 
 
-def _decode(u: Instruction, pc: int, length: int, cells: dict[str, bool]) -> tuple:
-    """The step rule of instruction `u` at position `pc`.
+def _decode(u: Instruction, pc: int, length: int, slot: dict[str, int]) -> tuple:
+    """The step rule of instruction `u` at position `pc`; `slot` maps cell foci to slots.
 
     _GO has one outcome; _ASK takes the oracle's next reply; _CELL runs
-    the cell law (operand: the focus and `cell_reply` of both contents);
+    the cell law (operand: the cell's slot and `cell_reply` of both
+    contents);
     _SET stores (register index, value); _IND jumps by register `operand[0]`
     times the direction `operand[1]`, so only its target is left open.
     """
@@ -199,23 +203,24 @@ def _decode(u: Instruction, pc: int, length: int, cells: dict[str, bool]) -> tup
         step_true, step_false = MOVES[kind]
     except KeyError:
         raise TypeError(f"not an instruction: {u!r}") from None
+    line = f"{pc} {render_instruction(u)}"
     # A zero offset or a target outside the program deadlocks.
     if kind in BASIC_KINDS:
         on_true = to if step_true and 0 < (to := pc + step_true) <= length else 0
-        true_event = _event(TraceEvent, (pc, u, True))
+        true_event = _event(TraceEvent, (pc, u, True, line + " reply=T"))
         focus = u.basic.focus
-        if focus not in cells and step_true == step_false:
+        if focus not in slot and step_true == step_false:
             # Without a cell, a plain instruction proceeds as if True were
             # produced.
             return (_GO, true_event, on_true, true_event, on_true, None)
         on_false = to if step_false and 0 < (to := pc + step_false) <= length else 0
-        false_event = _event(TraceEvent, (pc, u, False))
-        if focus in cells:
+        false_event = _event(TraceEvent, (pc, u, False, line + " reply=F"))
+        if focus in slot:
             method = u.basic.method
             law = (cell_reply(False, method), cell_reply(True, method))
-            return (_CELL, true_event, on_true, false_event, on_false, (focus, law))
+            return (_CELL, true_event, on_true, false_event, on_false, (slot[focus], law))
         return (_ASK, true_event, on_true, false_event, on_false, None)
-    event = _event(TraceEvent, (pc, u, None))
+    event = _event(TraceEvent, (pc, u, None, line))
     if kind is FwdJump or kind is BwdJump:
         step_true *= u.distance
     elif kind is IndFwdJump or kind is IndBwdJump:
@@ -238,9 +243,11 @@ def execute(
     oracle advanced past the replies it used.
 
     Each position the run reaches is decoded once into a step rule that
-    holds its events (one per outcome, shared by every visit) and targets.
-    A reply-free cycle is found at backward transfers and fast-forwarded
-    by whole laps (module docstring).
+    holds its events (one per outcome, shared by every visit, each with
+    its trace line) and targets; the rules sit in a list indexed by pc.
+    Cell contents sit in a list indexed by slot, in the order of
+    `cfg.cells`, which `end.cells` keeps.  A reply-free cycle is found at
+    backward transfers and fast-forwarded by whole laps (module docstring).
     """
     if cfg.status is not Status.RUNNING:
         raise ValueError("cannot step a configuration that is not running")
@@ -250,14 +257,14 @@ def execute(
     if not 1 <= pc <= length:
         raise IndexError(f"position {pc} out of range")
     registers = list(cfg.registers)
-    cells = dict(cfg.cells)
+    slot = {focus: i for i, focus in enumerate(cfg.cells)}
+    cells = list(cfg.cells.values())
     oracle = cfg.oracle
     replies = oracle.replies
     index = oracle._index
     events: list[TraceEvent] = []
     append = events.append
-    rules: dict[int, tuple] = {}
-    rule_at = rules.get
+    rules: list[tuple | None] = [None] * (length + 1)
     final: Status | None = Status.STEP_LIMIT
     # Brent's method over the states at backward transfers since the last
     # one that followed a reply: `saved` and the event count `saved_at`
@@ -266,9 +273,9 @@ def execute(
     mark = -1
     ticks = repeat(None, limit)
     for _ in ticks:
-        rule = rule_at(pc)
+        rule = rules[pc]
         if rule is None:
-            rule = rules[pc] = _decode(ins[pc - 1], pc, length, cells)
+            rule = rules[pc] = _decode(ins[pc - 1], pc, length, slot)
         op, event, target, on_false, false_target, operand = rule
         if op is _GO:
             pass
@@ -280,8 +287,8 @@ def execute(
                 event, target = on_false, false_target
             index += 1
         elif op is _CELL:
-            focus, law = operand
-            cells[focus], reply = law[cells[focus]]
+            i, law = operand
+            cells[i], reply = law[cells[i]]
             if not reply:
                 event, target = on_false, false_target
         elif op is _SET:
@@ -302,7 +309,7 @@ def execute(
             if index != mark:
                 mark, saved, left, span = index, None, 0, 1
             else:
-                state = (target, tuple(registers), tuple(cells.values()))
+                state = (target, tuple(registers), tuple(cells))
                 if state == saved:
                     # Whole laps of the events since `saved`, then step on.
                     lap = len(events) - saved_at
@@ -315,7 +322,8 @@ def execute(
                     saved, saved_at, left, span = state, len(events), span, span * 2
         pc = target
     status = final if pc == 0 else Status.RUNNING
-    return events, final, MachineConfig(pc, tuple(registers), cells, oracle.at(index), status)
+    end = MachineConfig(pc, tuple(registers), dict(zip(slot, cells)), oracle.at(index), status)
+    return events, final, end
 
 
 def step(p: Program, cfg: MachineConfig) -> tuple[MachineConfig, TraceEvent]:
@@ -364,8 +372,7 @@ def observable_steps(p: Program, params: ToolParams) -> tuple:
         # One step by `execute`'s rule: (event, next pc or 0, registers, cells).
         op, event, target, on_false, false_target, operand = rules[pc]
         if op is _CELL:
-            focus, law = operand
-            i = slot[focus]
+            i, law = operand
             value, reply = law[cells[i]]
             cells = (*cells[:i], value, *cells[i + 1:])
         elif op is _SET:
@@ -420,16 +427,8 @@ def observable_steps(p: Program, params: ToolParams) -> tuple:
 
 
 def trace_text(t: Trace) -> str:
-    """Line-oriented trace serialization, one event per line."""
-    prefixes: dict[int, str] = {}
-    lines = []
-    for position, instruction, reply in t.events:
-        prefix = prefixes.get(position)
-        if prefix is None:
-            prefix = prefixes[position] = f"{position} {render_instruction(instruction)}"
-        lines.append(prefix if reply is None else prefix + (" reply=T" if reply else " reply=F"))
-    lines.append(f"status={t.final.value}")
-    return "\n".join(lines) + "\n"
+    """Line-oriented trace serialization: the lines the events carry, then the status."""
+    return "\n".join([*map(itemgetter(3), t.events), f"status={t.final.value}", ""])
 
 
 def parse_oracle_script(text: str) -> Scripted:

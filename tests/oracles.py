@@ -6,8 +6,11 @@ once per program position.  `reference_state_graph` is `build_state_graph`
 as it was before the rules were decoded once per instruction object: one
 decoder call per program position.  `reference_execute` is `vm.execute`
 as it was before each position was decoded once per run into a step rule:
-one dispatch on the instruction type, and one `cell_reply` call, per step.
-All three are kept unchanged as the references of the differential tests.
+one dispatch on the instruction type, and one `cell_reply` call, per step;
+its events carry the line `reference_line` renders.  All three are kept
+as the references of the differential tests.  `reference_trace_text`
+renders a run's text one line per event, from the event's position,
+instruction and reply, without the line the event carries.
 
 `brute_force_mid` enumerates runs to find the MID that the state graph
 gives, and `replay_segment` replays a MID witness; both step through
@@ -41,6 +44,7 @@ from pglblab.isa import (
     RegSet,
     ToolParams,
     basic_of,
+    render_instruction,
     require_valid,
 )
 from pglblab.vm import (
@@ -376,7 +380,7 @@ def reference_execute(
             target = pc + distance if distance else 0
         event = made.get(key)
         if event is None:
-            event = made[key] = TraceEvent(pc, u, reply)
+            event = made[key] = TraceEvent(pc, u, reply, reference_line(pc, u, reply))
         append(event)
         if not 1 <= target <= length:
             final = Status.TERMINATED if kind is Halt else Status.DEADLOCKED
@@ -385,6 +389,20 @@ def reference_execute(
         pc = target
     status = final if pc == 0 else Status.RUNNING
     return events, final, MachineConfig(pc, tuple(registers), cells, oracle.at(index), status)
+
+
+def reference_line(position: int, instruction, reply: bool | None) -> str:
+    """One event's trace line: its position, its instruction and, for a
+    basic instruction, its reply."""
+    shown = {None: "", True: " reply=T", False: " reply=F"}[reply]
+    return f"{position} {render_instruction(instruction)}{shown}"
+
+
+def reference_trace_text(events, final: Status) -> str:
+    """`trace_text` of a run's events and final status, each line
+    rendered from its event's position, instruction and reply."""
+    lines = [reference_line(e.position, e.instruction, e.reply) + "\n" for e in events]
+    return "".join(lines) + f"status={final.value}\n"
 
 
 def brute_force_mid(p: Program, params: ToolParams, depth: int) -> int:

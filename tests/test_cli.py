@@ -72,6 +72,14 @@ def test_run_steps_flag_cuts(tmp_path, capsys):
     assert stdout.endswith("status=StepLimit\n")
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle", "3"]])
+def test_run_zero_steps_prints_only_the_status(tmp_path, capsys, oracle):
+    prog = tmp_path / "p.pglb"
+    prog.write_text("+f.m ; ! ; !\n")
+    code, stdout, stderr = invoke(capsys, "run", str(prog), "--steps", "0", *oracle)
+    assert (code, stdout, stderr) == (0, "status=StepLimit\n", "")
+
+
 def test_project_writes_artifacts_and_checks_equivalent(tmp_path, capsys):
     src = tmp_path / "p1.pglb"
     invoke(capsys, "gen", "family", "--k", "1", "--out", str(src))

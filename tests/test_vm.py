@@ -5,7 +5,12 @@ from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import reference_execute, reference_observable_events
+from oracles import (
+    reference_execute,
+    reference_line,
+    reference_observable_events,
+    reference_trace_text,
+)
 
 from pglblab.analyzer import build_state_graph
 from pglblab.family import gen_scaling_family, gen_random
@@ -345,6 +350,38 @@ def test_run_equals_step_by_step_replay(cells, aux):
     assert exhausted > 0  # the short scripts do run out
 
 
+# --- differential: trace_text against a line rendered per event ---
+
+
+def assert_same_text(p, cfg, limit):
+    """`execute`'s events carry the reference line of each event, and,
+    where the run does not wait for a reply, `trace_text` of them is the
+    reference text of `reference_execute`'s run."""
+    events, final, _ = execute(p, cfg, limit)
+    assert [e.line for e in events] == [reference_line(*e[:3]) for e in events], str(p)
+    ref_events, ref_final, _ = reference_execute(p, cfg, limit)
+    if final is not None:
+        text = trace_text(Trace(tuple(events), final))
+        assert text == reference_trace_text(ref_events, ref_final), (str(p), limit)
+    return final
+
+
+@pytest.mark.parametrize("limit", [0, 1, 120])
+@pytest.mark.parametrize("cells", [False, True])
+def test_trace_text_matches_the_reference(cells, limit):
+    params = ToolParams(maxr=2, maxn=3)
+    rng = random.Random(23)
+    finals = set()
+    for seed in range(150):
+        p = gen_random(seed, 4 + seed % 9, params)
+        if cells:
+            p = with_cells(p, rng)
+        script = Scripted(tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 6))))
+        for oracle in (Seeded(seed), script):
+            finals.add(assert_same_text(p, initial_config(p, params, oracle), limit))
+    assert Status.STEP_LIMIT in finals and (limit == 0 or None in finals)
+
+
 # --- differential: execute against the per-step reference interpreter ---
 
 
@@ -357,7 +394,7 @@ def execute_outcome(interpreter, p, cfg, limit):
     # One event object per position and outcome within a call.
     assert len(set(map(id, events))) == len({(e.position, e.reply) for e in events})
     shown = [(e.position, render_instruction(e.instruction), e.reply) for e in events]
-    state = (end.pc, end.registers, end.cells, end.status, end.oracle._index)
+    state = (end.pc, end.registers, list(end.cells.items()), end.status, end.oracle._index)
     return (shown, final, state), end
 
 
@@ -499,6 +536,7 @@ def test_reply_free_cycles_match_the_reference(monkeypatch):
         cfg = initial_config(p, params, Seeded(3))
         events, final, _ = reference_execute(p, cfg, 4096)
         assert final is Status.STEP_LIMIT, name
+        assert assert_same_text(p, cfg, 4096) is Status.STEP_LIMIT, name
         first = first_detection(p, cfg, laps)
         lap = laps[-1]
         assert lap % lap_of(events) == 0, name
