@@ -34,9 +34,9 @@ from .isa import (
     IndFwdJump,
     Instruction,
     MOVES,
-    PglbError,
     Program,
     RegSet,
+    StateLimitExceeded,
     ToolParams,
     per_object,
     require_valid,
@@ -62,12 +62,6 @@ def id_weight(u: Instruction, aux: AuxPredicate) -> int:
 class StateNode(NamedTuple):
     pc: int
     registers: tuple[int, ...]
-
-
-class StateLimitExceeded(PglbError, RuntimeError):
-    def __init__(self, limit: int):
-        self.limit = limit
-        super().__init__(f"state graph exceeds the configured limit of {limit} nodes")
 
 
 # Successor rules: no successor (halt or deadlock), a fixed pc step whose
@@ -165,6 +159,7 @@ def build_state_graph(p: Program, params: ToolParams) -> StateGraph:
     if rules[length][0] in (_TEST, _SET):
         rules[length] = _NO_SUCCESSOR
     limit = params.state_limit
+    too_many = f"state graph exceeds the configured limit of {limit} nodes"
     codes = [1]  # pc 1, all registers 0
     claim = {1: 0}.setdefault  # code -> id, the next id for a new code
     size, edges = 1, 0
@@ -183,7 +178,7 @@ def build_state_graph(p: Program, params: ToolParams) -> StateGraph:
             j = claim(t, size)
             if j == size:
                 if size >= limit:
-                    raise StateLimitExceeded(limit)
+                    raise StateLimitExceeded(too_many)
                 size += 1
                 add_code(t)
             push(j)
@@ -200,7 +195,7 @@ def build_state_graph(p: Program, params: ToolParams) -> StateGraph:
             j = claim(t, size)
             if j == size:
                 if size >= limit:
-                    raise StateLimitExceeded(limit)
+                    raise StateLimitExceeded(too_many)
                 size += 1
                 add_code(t)
             push(j)

@@ -15,9 +15,9 @@ import sys
 import time
 from dataclasses import astuple, dataclass, replace
 
-from .analyzer import StateLimitExceeded, build_state_graph, compute_mid, program_mid
+from .analyzer import build_state_graph, compute_mid, program_mid
 from .family import gen_scaling_family
-from .isa import InputError, ToolParams
+from .isa import InputError, StateLimitExceeded, ToolParams
 from .projector import check_equivalence, dispatch_project, specialize, thread_jumps
 
 # -1 in a mid column means unbounded (or not computed on a flagged row).
@@ -70,13 +70,7 @@ def _bench_one(k: int, base: ToolParams) -> BenchRow:
 
     t = time.perf_counter()
     p, params = gen_scaling_family(k)
-    params = replace(
-        params,
-        aux=base.aux,
-        step_limit=base.step_limit,
-        state_limit=base.state_limit,
-        cell_init=base.cell_init,
-    )
+    params = replace(params, aux=base.aux, state_limit=base.state_limit, cell_init=base.cell_init)
     gen_ms = (time.perf_counter() - t) * 1000.0
     if len(p) != 12 * 2**k + 4:
         flag = 1
@@ -142,9 +136,10 @@ def _bench_one(k: int, base: ToolParams) -> BenchRow:
 def bench_family(kmax: int, params: ToolParams = ToolParams()) -> list[BenchRow]:
     """Rows for k=1..kmax (kmax ≤ 8: desk scale).
 
-    `params` supplies aux/stepLimit/stateLimit/cellInit; maxr and maxn
-    always come from the family itself.  Rows are computed sequentially,
-    in k order.
+    `params` supplies aux/stateLimit/cellInit; maxr, maxn and the cell
+    bindings always come from the family itself.  A row that passes
+    stateLimit anywhere is flagged.  Rows are computed sequentially, in k
+    order.
     """
     if not 1 <= kmax <= 8:
         raise InputError("kmax must be in 1..8")

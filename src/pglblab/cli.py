@@ -83,25 +83,42 @@ def _parse_cells(value: str) -> frozenset[str]:
     return frozenset(f.strip() for f in value.split(",") if f.strip())
 
 
-#: config key -> (ToolParams field, dest of its flag, parser of a config
-#: value or flag value).  Flags override config files.
-_PARAMS = {
-    "maxr": ("maxr", "maxr", int),
-    "maxn": ("maxn", "maxn", int),
-    "aux": ("aux", "aux", AuxSpec.parse),
-    "cells": ("cell_foci", "cells", _parse_cells),
-    "cellInit": ("cell_init", "cell_init", _parse_bool),
-    "stepLimit": ("step_limit", "step_limit", int),
-    "stateLimit": ("state_limit", "state_limit", int),
+#: config key -> (ToolParams field, which is also its flag's dest; the
+#: flag; parser of a config value or flag value; argparse keywords of the
+#: flag).  Flags override config files.
+PARAMS = {
+    "maxr": ("maxr", "--maxr", int, {"type": int, "help": "largest register index"}),
+    "maxn": ("maxn", "--maxn", int, {"type": int, "help": "largest register literal"}),
+    "aux": ("aux", "--aux", AuxSpec.parse, {"help": "aux patterns, comma separated (f.m or f.*)"}),
+    "cells": (
+        "cell_foci", "--cells", _parse_cells,
+        {"help": "cell-bound foci, comma separated ('' = none)"},
+    ),
+    "cellInit": (
+        "cell_init", "--cell-init", _parse_bool,
+        {"choices": ("true", "false"), "help": "initial cell contents"},
+    ),
+    "stepLimit": ("step_limit", "--steps", int, {"type": int, "help": "step limit for this run"}),
+    "stateLimit": ("state_limit", "--state-limit", int, {"type": int}),
+}
+
+#: command -> the config keys it reads, which are the parameter flags it
+#: takes.  Its --config and the config files may set any key.
+COMMAND_PARAMS = {
+    "run": ("maxr", "maxn", "cells", "cellInit", "stepLimit"),
+    "mid": ("maxr", "maxn", "aux", "cells", "stateLimit"),
+    "project": ("maxr", "maxn", "aux", "cells", "stateLimit"),
+    "check": ("maxr", "maxn", "aux", "cells", "cellInit", "stateLimit"),
+    "bench": ("aux", "cellInit", "stateLimit"),
 }
 
 
 def _apply_config(pairs: dict[str, str], acc: dict) -> None:
     for key, value in pairs.items():
-        if key not in _PARAMS:
+        if key not in PARAMS:
             raise CLIError(f"unknown config key: {key}")
         try:
-            acc[key] = _PARAMS[key][2](value)
+            acc[key] = PARAMS[key][2](value)
         except ValueError as e:
             raise CLIError(f"config key {key}: {e}") from e
 
@@ -180,8 +197,8 @@ def resolve_params(args, programs=(), sidecars=()) -> ToolParams:
             _apply_config(_load_config(sidecar), acc)
     if getattr(args, "config", None):
         _apply_config(_load_config(args.config), acc)
-    for key, (_, dest, parse) in _PARAMS.items():
-        value = getattr(args, dest, None)
+    for key, (field, _, parse, _) in PARAMS.items():
+        value = getattr(args, field, None)
         if value is not None:
             acc[key] = parse(value)
     if ("maxr" not in acc or "maxn" not in acc) and programs:
@@ -189,7 +206,7 @@ def resolve_params(args, programs=(), sidecars=()) -> ToolParams:
         acc.setdefault("maxr", derived_r)
         acc.setdefault("maxn", derived_n)
     try:
-        return ToolParams(**{_PARAMS[key][0]: value for key, value in acc.items()})
+        return ToolParams(**{PARAMS[key][0]: value for key, value in acc.items()})
     except ValueError as e:
         raise CLIError(str(e)) from e
 
@@ -227,8 +244,6 @@ def _make_oracle(spec: str | None):
 
 def _cmd_run(args) -> int:
     (p,), params = _load(args, args.file)
-    if args.steps is not None:
-        params = replace(params, step_limit=args.steps)
     try:
         trace = run(p, params, _make_oracle(args.oracle))
     except OracleExhausted:
@@ -379,29 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(sp):
-        sp.add_argument("--aux", help="aux patterns, comma separated (f.m or f.*)")
-        sp.add_argument("--cell-init", choices=("true", "false"), help="initial cell contents")
-        sp.add_argument("--step-limit", type=int)
-        sp.add_argument("--state-limit", type=int)
-        sp.add_argument("--config", help="config file (overrides PGLBLAB_CONFIG)")
-
-    def add_param_flags(sp):
-        sp.add_argument("--maxr", type=int, help="largest register index")
-        sp.add_argument("--maxn", type=int, help="largest register literal")
-        sp.add_argument("--cells", help="cell-bound foci, comma separated ('' = none)")
-        add_run_flags(sp)
-
     sp = sub.add_parser("run", help="execute a program and print its trace")
     sp.add_argument("file")
     sp.add_argument("--oracle", help="reply script file or integer seed")
-    sp.add_argument("--steps", type=int, help="step limit for this run")
-    add_param_flags(sp)
     sp.set_defaults(handler=_cmd_run)
 
     sp = sub.add_parser("mid", help="compute the maximal internal delay")
     sp.add_argument("file")
-    add_param_flags(sp)
     sp.set_defaults(handler=_cmd_mid)
 
     sp = sub.add_parser("project", help="project onto the register-free fragment")
@@ -409,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("specialize", "dispatch"), required=True)
     sp.add_argument("--thread", action="store_true", help="thread jump chains in the output")
     sp.add_argument("--out-dir", help="directory for output files")
-    add_param_flags(sp)
     sp.set_defaults(handler=_cmd_project)
 
     sp = sub.add_parser("gen", help="generate programs")
@@ -429,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "bench", help="scaling benchmark over the family",
         description="Scaling benchmark over the family members k=1..kmax.  Each member "
-        "fixes its own maxr, maxn and cell bindings, so config-file maxr, maxn and "
-        "cells are ignored here.",
+        "fixes its own maxr, maxn and cell bindings, and no row runs a program, so "
+        "config-file maxr, maxn, cells and stepLimit are ignored here.",
     )
     sp.add_argument("--kmax", type=int, required=True)
     sp.add_argument("--out", help="output file (default stdout)")
@@ -440,15 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="one JSON object with the environment, peak RSS and the rows, in place of the CSV",
     )
-    add_run_flags(sp)
     sp.set_defaults(handler=_cmd_bench)
 
     sp = sub.add_parser("check", help="decide observable equivalence of two programs")
     sp.add_argument("p")
     sp.add_argument("q")
-    add_param_flags(sp)
     sp.set_defaults(handler=_cmd_check)
 
+    for command, keys in COMMAND_PARAMS.items():
+        sp = sub.choices[command]
+        for key in keys:
+            field, flag, _, kwargs = PARAMS[key]
+            sp.add_argument(flag, dest=field, **kwargs)
+        sp.add_argument("--config", help="config file (overrides PGLBLAB_CONFIG)")
     return parser
 
 

@@ -30,6 +30,12 @@ class InputError(PglbError, ValueError):
     range, a bad aux pattern or oracle-script line, an output over the limit."""
 
 
+class StateLimitExceeded(InputError):
+    """More than `stateLimit` of something: state-graph nodes, dispatch
+    output instructions, closure states or product pairs; the message says
+    which grew."""
+
+
 class ParseError(PglbError, ValueError):
     """Raised on malformed program text; carries the 1-based source position."""
 

@@ -35,7 +35,6 @@ from .isa import (
     Halt,
     IndBwdJump,
     IndFwdJump,
-    InputError,
     Instruction,
     MOVES,
     NegTest,
@@ -43,6 +42,7 @@ from .isa import (
     PosTest,
     Program,
     RegSet,
+    StateLimitExceeded,
     ToolParams,
     basic_of,
     bound_cell_foci,
@@ -227,8 +227,8 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
     b bits; an indirect jump becomes a balanced decision tree testing bits
     most-significant-first whose 2^b leaves are direct jumps to the
     relocated targets, in ascending value order; value 0 and out-of-range
-    targets deadlock.  Raises InputError, before emitting anything, when
-    the output would be longer than params.state_limit.
+    targets deadlock.  Raises StateLimitExceeded, before emitting anything,
+    when the output would be longer than params.state_limit.
     """
     require_valid(p, params)
     ins = p.instructions
@@ -247,7 +247,7 @@ def dispatch_project(p: Program, params: ToolParams) -> ProjectionReport:
     if starts[-1] - 1 > params.state_limit:
         # The tree size grows as 2^bits with bits from maxn: refuse before
         # emitting, with the limit that bounds the other constructions.
-        raise InputError(
+        raise StateLimitExceeded(
             f"dispatch output of {starts[-1] - 1} instructions exceeds the state limit "
             f"of {params.state_limit}"
         )
@@ -435,7 +435,7 @@ def check_equivalence(p: Program, q: Program, params: ToolParams) -> Verdict:
                 return differ(step, (pn, qn))
             if (pn, qn) not in parent:
                 if len(parent) >= params.state_limit:
-                    raise InputError(
+                    raise StateLimitExceeded(
                         f"check product exceeds the state limit of {params.state_limit} pairs"
                     )
                 parent[pn, qn] = step

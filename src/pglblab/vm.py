@@ -46,6 +46,7 @@ from .isa import (
     PosTest,
     Program,
     RegSet,
+    StateLimitExceeded,
     ToolParams,
     bound_cell_foci,
     render_instruction,
@@ -393,7 +394,7 @@ def observable_steps(p: Program, params: ToolParams) -> tuple:
         end = closed.get(state)
         while end is None:
             if len(closed) >= limit:
-                raise InputError(f"closure exceeds the state limit of {limit} states")
+                raise StateLimitExceeded(f"closure exceeds the state limit of {limit} states")
             closed[state] = Status.DIVERGES
             walk.append(state)
             pc = state[0]

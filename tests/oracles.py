@@ -128,7 +128,9 @@ def reference_state_graph(p: Program, params: ToolParams) -> StateGraph:
             if j is None:
                 j = ids[t] = len(codes)
                 if j >= limit:
-                    raise StateLimitExceeded(limit)
+                    raise StateLimitExceeded(
+                        f"state graph exceeds the configured limit of {limit} nodes"
+                    )
                 add_code(t)
             push(j)
             t = code + b
@@ -144,7 +146,9 @@ def reference_state_graph(p: Program, params: ToolParams) -> StateGraph:
             if j is None:
                 j = ids[t] = len(codes)
                 if j >= limit:
-                    raise StateLimitExceeded(limit)
+                    raise StateLimitExceeded(
+                        f"state graph exceeds the configured limit of {limit} nodes"
+                    )
                 add_code(t)
             push(j)
         add_offset(len(targets))

@@ -4,6 +4,7 @@ from oracles import brute_force_mid, reference_state_graph, replay_segment, tarj
 from test_projector import service_loop
 
 import pglblab.analyzer as analyzer
+import pglblab.isa as isa
 from pglblab.analyzer import (
     StateLimitExceeded,
     StateNode,
@@ -95,8 +96,11 @@ def test_state_graph_branches_on_tests():
 
 def test_state_graph_respects_limit():
     p = parse_program("set:1:2 ; i#1 ; ! ; !")
-    with pytest.raises(StateLimitExceeded):
+    with pytest.raises(StateLimitExceeded, match="^state graph exceeds the configured limit of 2 nodes$"):
         build_state_graph(p, ToolParams(maxr=1, maxn=2, state_limit=2))
+    # One refusal for every state limit, a typed input refusal.
+    assert StateLimitExceeded is isa.StateLimitExceeded
+    assert issubclass(StateLimitExceeded, isa.InputError)
 
 
 def test_state_graph_rejects_invalid_program():

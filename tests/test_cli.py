@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from pglblab.cli import derive_bounds, main, parse_config
+from pglblab.bench import CSV_HEADER
+from pglblab.cli import COMMAND_PARAMS, PARAMS, build_parser, derive_bounds, main, parse_config
 from pglblab.family import gen_scaling_family
 from pglblab.isa import parse_program, render_program
 from pglblab.projector import dispatch_project, thread_jumps
@@ -145,25 +146,25 @@ def test_check_finds_counterexample(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "p_text, q_text, flags, expected",
+    "p_text, q_text, config, expected",
     [
         # The sampler printed `equivalent (checked=6, inconclusive=6)`:
         # its runs of the silent loop were cut at the step budget.
-        ("f.m ; !", "f.m ; #1 ; \\#1", [], (
+        ("f.m ; !", "f.m ; #1 ; \\#1", None, (
             "counterexample oracle=\n"
             "p: f.m=T status=Terminated\n"
             "q: f.m=T status=Diverges\n"
             "checked=2\n"
         )),
         # The sampler's runs were cut at one step, so it saw no stop.
-        ("f.m ; g.m ; !", "f.m ; g.m ; #0", ["--step-limit", "1"], (
+        ("f.m ; g.m ; !", "f.m ; g.m ; #0", "stepLimit = 1\n", (
             "counterexample oracle=\n"
             "p: f.m=T g.m=T status=Terminated\n"
             "q: f.m=T g.m=T status=Deadlocked\n"
             "checked=3\n"
         )),
         # A False reply skips to p's halt and to q's next request.
-        ("+f.m ; g.m ; !", "+f.m ; ! ; g.m", [], (
+        ("+f.m ; g.m ; !", "+f.m ; ! ; g.m", None, (
             "counterexample oracle=F\n"
             "p: f.m=F status=Terminated\n"
             "q: f.m=F status=Running\n"
@@ -173,12 +174,17 @@ def test_check_finds_counterexample(tmp_path, capsys):
     ids=["diverges", "step-limit", "replies"],
 )
 def test_check_prints_a_counterexample_that_no_step_limit_hides(
-    p_text, q_text, flags, expected, tmp_path, capsys
+    p_text, q_text, config, expected, tmp_path, capsys
 ):
     p = tmp_path / "p.pglb"
     q = tmp_path / "q.pglb"
     p.write_text(p_text + "\n")
     q.write_text(q_text + "\n")
+    flags = []
+    if config:
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text(config)
+        flags = ["--config", str(cfg)]
     assert invoke(capsys, "check", str(p), str(q), *flags) == (1, expected, "")
 
 
@@ -242,7 +248,7 @@ def test_env_config_and_flag_precedence(tmp_path, capsys, monkeypatch):
     code, stdout, _ = invoke(capsys, "run", str(prog))
     assert stdout.endswith("status=StepLimit\n")
     # a flag outranks the environment config
-    code, stdout, _ = invoke(capsys, "run", str(prog), "--step-limit", "1000000")
+    code, stdout, _ = invoke(capsys, "run", str(prog), "--steps", "1000000")
     assert stdout.endswith("status=StepLimit\n")  # still loops forever, just later
     monkeypatch.delenv("PGLBLAB_CONFIG")
 
@@ -425,7 +431,7 @@ def test_bench_kmax_one_stdout(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "c.md").read_text().startswith("| k | lengthOriginal |")
 
 
-@pytest.mark.parametrize("flag", ["--maxr", "--maxn", "--cells"])
+@pytest.mark.parametrize("flag", ["--maxr", "--maxn", "--cells", "--step-limit"])
 def test_bench_refuses_flags_the_family_fixes(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--kmax", "1", flag, "1"])
@@ -440,6 +446,101 @@ def test_bench_ignores_register_bounds_from_config(tmp_path, capsys, monkeypatch
     code, stdout, _ = invoke(capsys, "bench", "--kmax", "1")
     assert code == 0
     assert stdout.split("\n")[1].startswith("1,28,4,")
+
+
+def test_bench_flags_a_row_past_the_state_limit_and_prints_the_rest(capsys):
+    # k=1 has 51 states but a 70-instruction dispatch output; k=2 has 181 states.
+    code, stdout, stderr = invoke(capsys, "bench", "--kmax", "2", "--state-limit", "60")
+    header, *rows = stdout.splitlines()
+    assert (code, stderr, header) == (1, "", CSV_HEADER)
+    assert [row.split(",")[:8] for row in rows] == [
+        ["1", "28", "-1", "-1", "-1", "-1", "-1", "-1"],
+        ["2", "52", "-1", "-1", "-1", "-1", "-1", "-1"],
+    ]
+    assert all(row.endswith(",1") for row in rows)
+
+
+#: Each command's parameter flags and --config, as the README lists them.
+COMMAND_FLAGS = {
+    "run": ["--maxr", "--maxn", "--cells", "--cell-init", "--steps", "--config"],
+    "mid": ["--maxr", "--maxn", "--aux", "--cells", "--state-limit", "--config"],
+    "project": ["--maxr", "--maxn", "--aux", "--cells", "--state-limit", "--config"],
+    "check": ["--maxr", "--maxn", "--aux", "--cells", "--cell-init", "--state-limit", "--config"],
+    "bench": ["--aux", "--cell-init", "--state-limit", "--config"],
+}
+
+
+def test_each_command_takes_the_parameter_flags_of_its_table_row():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    param_flags = {flag for _, flag, _, _ in PARAMS.values()} | {"--config"}
+    for command, flags in COMMAND_FLAGS.items():
+        taken = [
+            flag for action in commands[command]._actions for flag in action.option_strings
+            if flag in param_flags
+        ]
+        row = [PARAMS[key][1] for key in COMMAND_PARAMS[command]]
+        assert taken == row + ["--config"] == flags, command
+
+
+#: The flags commands took without reading them, but bench's: (command
+#: line, the flag, a value).
+DROPPED = [
+    (("run", "{p}"), "--aux", "f.*,bool1.*"),
+    (("run", "{p}"), "--state-limit", "1"),
+    (("run", "{p}"), "--step-limit", "5"),
+    (("mid", "{p}"), "--step-limit", "0"),
+    (("mid", "{p}"), "--cell-init", "true"),
+    (("project", "{p}", "--mode", "dispatch"), "--step-limit", "0"),
+    (("project", "{p}", "--mode", "dispatch"), "--cell-init", "true"),
+    (("check", "{p}", "{p}"), "--step-limit", "5"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", DROPPED, ids=lambda v: v if isinstance(v, str) else v[0])
+def test_a_dropped_flag_is_a_usage_error(argv, flag, value, tmp_path, capsys):
+    argv = [arg.replace("{p}", str(tmp_path / "p.pglb")) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.endswith(f"pglblab: error: unrecognized arguments: {flag} {value}\n")
+    assert "Traceback" not in err
+
+
+#: A value of each config key, for the commands that ignore it.
+IGNORED_VALUES = {
+    "maxr": "1", "maxn": "1", "aux": "f.*,bool1.*", "cells": "", "cellInit": "true",
+    "stepLimit": "0", "stateLimit": "1",
+}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, keys in COMMAND_PARAMS.items()
+    for key in PARAMS if key not in keys
+])
+def test_a_config_key_a_command_ignores_is_accepted_and_changes_nothing(
+    command, key, tmp_path, capsys
+):
+    p = tmp_path / "p.pglb"
+    p.write_text(render_program(gen_scaling_family(1)[0]) + "\n")
+    cfg = tmp_path / "ignored.cfg"
+    cfg.write_text(f"{key} = {IGNORED_VALUES[key]}\n")
+    argv = {
+        "run": ["run", str(p), "--oracle", "1", "--steps", "40"],
+        "mid": ["mid", str(p)],
+        "project": ["project", str(p), "--mode", "dispatch"],
+        "check": ["check", str(p), str(p)],
+        "bench": ["bench", "--kmax", "1"],
+    }[command]
+
+    def outputs(*flags):
+        code, stdout, stderr = invoke(capsys, *argv, *flags)
+        if command == "bench":  # all but the wall-clock columns
+            stdout = [line.split(",")[:8] + line.split(",")[-1:] for line in stdout.splitlines()]
+        written = sorted((f.name, f.read_text()) for f in tmp_path.glob("p.dispatch.*"))
+        return code, stdout, stderr, written
+
+    assert outputs("--config", str(cfg)) == outputs()
 
 
 def test_bench_json_holds_the_csv_row_and_the_split_specialize_time(capsys):
@@ -558,7 +659,7 @@ def test_run_steps_above_cap_is_refused(tmp_path, capsys):
 
 
 def test_step_limit_flag_above_cap_is_refused(tmp_path, capsys):
-    code, stdout, stderr = invoke(capsys, "run", str(_spin(tmp_path)), "--step-limit", "1000001")
+    code, stdout, stderr = invoke(capsys, "run", str(_spin(tmp_path)), "--steps", "1000001")
     assert code == 1
     assert stdout == ""
     assert stderr == "pglblab: step limit 1000001 exceeds 1000000\n"
@@ -684,7 +785,7 @@ def test_config_and_flags_set_every_param(tmp_path):
         "maxr = 3\nmaxn = 4\naux = f.*\ncells = a, b\ncellInit = true\n"
         "stepLimit = 10\nstateLimit = 20\n"
     )
-    names = ("maxr", "maxn", "aux", "cells", "cell_init", "step_limit", "state_limit")
+    names = ("maxr", "maxn", "aux", "cell_foci", "cell_init", "step_limit", "state_limit")
     args = SimpleNamespace(config=str(cfg), **dict.fromkeys(names))
     expected = ToolParams(
         maxr=3, maxn=4, aux=AuxSpec.parse("f.*"), step_limit=10, state_limit=20,
@@ -692,7 +793,7 @@ def test_config_and_flags_set_every_param(tmp_path):
     )
     assert resolve_params(args) == expected
     flags = SimpleNamespace(
-        config=str(cfg), maxr=5, maxn=6, aux="g.m", cells="c", cell_init="false",
+        config=str(cfg), maxr=5, maxn=6, aux="g.m", cell_foci="c", cell_init="false",
         step_limit=30, state_limit=40,
     )
     assert resolve_params(flags) == ToolParams(

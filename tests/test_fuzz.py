@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pglblab.cli import main
+from pglblab.cli import COMMAND_PARAMS, PARAMS, main
 
 TOKENS = (
     "!", "f.m", "+f.m", "-g.n", "x.m", "+bool1.get", "-bool1.get", "bool1.set:T",
@@ -40,15 +40,29 @@ def flag(name, values):
     return st.one_of(st.just([]), st.just([]), values.map(lambda v: [name, str(v)]))
 
 
-param_flags = st.tuples(
-    st.sampled_from([10_000, 10_000, 10_000, 0, 2, 4, 8]).map(lambda v: ["--state-limit", str(v)]),
-    st.one_of(st.just(1_000), st.integers(-1, 50)).map(lambda v: ["--step-limit", str(v)]),
-    flag("--maxr", st.integers(0, 3)),
-    flag("--maxn", st.integers(0, 5)),
-    flag("--aux", st.sampled_from(["f.*", "x.m,g.*", "bool1.*", "", "bad"])),
-    flag("--cells", st.sampled_from(["", "f", "bool1"])),
-    flag("--cell-init", st.sampled_from(["true", "false", "maybe"])),
-).map(lambda parts: [arg for part in parts for arg in part])
+#: The values drawn for each config key's flag.
+PARAM_VALUES = {
+    "maxr": st.integers(0, 3),
+    "maxn": st.integers(0, 5),
+    "aux": st.sampled_from(["f.*", "x.m,g.*", "bool1.*", "", "bad"]),
+    "cells": st.sampled_from(["", "f", "bool1"]),
+    "cellInit": st.sampled_from(["true", "false", "maybe"]),
+    "stepLimit": st.one_of(st.just(1_000), st.integers(-1, 50)),
+    "stateLimit": st.sampled_from([10_000, 10_000, 10_000, 0, 2, 4, 8]),
+}
+
+
+def param_flags(command):
+    """The parameter flags `command` takes, by the CLI's table: a step or
+    state limit always, so no example runs long, any other flag sometimes."""
+    parts = []
+    for key in COMMAND_PARAMS[command]:
+        name, values = PARAMS[key][1], PARAM_VALUES[key]
+        if key in ("stepLimit", "stateLimit"):
+            parts.append(values.map(lambda v, name=name: [name, str(v)]))
+        else:
+            parts.append(flag(name, values))
+    return st.tuples(*parts).map(lambda parts: [arg for part in parts for arg in part])
 
 
 #: Where a command writes.  Root writes into a read-only directory, so the
@@ -79,11 +93,10 @@ def command_lines(draw):
         return argv + draw(out_flag("x.pglb", place)), files
     if command == "bench":
         argv = ["bench", "--kmax", str(draw(st.integers(1, 2)))]
-        argv += draw(st.sampled_from([[], ["--md"], ["--json"]]))
+        argv += draw(st.sampled_from([[], ["--md"], ["--json"]])) + draw(param_flags("bench"))
         return argv + draw(out_flag("b.csv", place)), files
-    argv = [command, "{dir}/p.pglb"] + draw(param_flags)
+    argv = [command, "{dir}/p.pglb"] + draw(param_flags(command))
     if command == "run":
-        argv += draw(flag("--steps", st.integers(-1, 1_000)))
         oracle = draw(st.sampled_from([None, "7", "{dir}/oracle.txt", "{dir}/missing.txt"]))
         if oracle is not None:
             files["oracle.txt"] = draw(st.sampled_from(["T\nF\nT\n", "", "X\n"]))
@@ -96,14 +109,9 @@ def command_lines(draw):
     return argv, files
 
 
-def refusal_case(text, *argv):
-    """`argv` on p.pglb holding `text`."""
-    return [argv[0], "{dir}/p.pglb", *argv[1:]], {"p.pglb": text, "q.pglb": "!"}
-
-
 def refusal(text, *argv):
     """An explicit example: `argv` on p.pglb holding `text`."""
-    return example(case=refusal_case(text, *argv))
+    return example(case=([argv[0], "{dir}/p.pglb", *argv[1:]], {"p.pglb": text, "q.pglb": "!"}))
 
 
 def run_case(case):
@@ -125,13 +133,13 @@ def run_case(case):
     return code, out.getvalue(), err.getvalue(), directory
 
 
-#: A negative step or state limit, by each flag that sets one.
+#: A negative step or state limit, by each command's flag that sets one.
 NEGATIVE_LIMITS = [
-    ("run", "--steps", "-5"),
-    ("run", "--step-limit", "-3"),
-    ("mid", "--state-limit", "-1"),
-    ("project", "--mode", "dispatch", "--out-dir", "{dir}", "--state-limit", "-1"),
-    ("check", "{dir}/q.pglb", "--state-limit", "-1"),
+    ("run", "{dir}/p.pglb", "--steps", "-5"),
+    ("mid", "{dir}/p.pglb", "--state-limit", "-1"),
+    ("project", "{dir}/p.pglb", "--mode", "dispatch", "--out-dir", "{dir}", "--state-limit", "-1"),
+    ("check", "{dir}/p.pglb", "{dir}/q.pglb", "--state-limit", "-1"),
+    ("bench", "--kmax", "1", "--state-limit", "-1"),
 ]
 
 
@@ -143,7 +151,7 @@ NEGATIVE_LIMITS = [
 @refusal("set:2:1 ; !", "check", "{dir}/q.pglb", "--maxr", "1")
 @refusal("+f.m ; !", "run", "--steps", "10")
 @refusal("bool1.foo ; !", "run", "--steps", "10")
-@refusal("bool1.foo ; !", "check", "{dir}/q.pglb", "--step-limit", "10")
+@refusal("bool1.foo ; !", "check", "{dir}/q.pglb")
 @refusal("f.m ; +x.get ; \\#1 ; !", "check", "{dir}/q.pglb", "--aux", "x.*")
 @refusal("f.m ; f.m ; !", "check", "{dir}/q.pglb", "--state-limit", "1")
 @refusal("f.m ; f.m ; !", "mid", "--state-limit", "1")
@@ -170,6 +178,6 @@ def test_random_command_lines_end_in_a_result_or_a_diagnostic(case):
 
 @pytest.mark.parametrize("argv", NEGATIVE_LIMITS, ids=lambda argv: argv[0] + argv[-2])
 def test_a_negative_limit_is_refused_in_one_line(argv):
-    code, out, err, _ = run_case(refusal_case("f.m ; !", *argv))
+    code, out, err, _ = run_case((list(argv), {"p.pglb": "f.m ; !", "q.pglb": "!"}))
     assert (code, out) == (1, "")
     assert err == "pglblab: step and state limits must be >= 0\n"

@@ -17,6 +17,7 @@ from pglblab.isa import (
     Plain,
     PosTest,
     Program,
+    StateLimitExceeded,
     ToolParams,
     is_pglb,
     parse_program,
@@ -585,14 +586,14 @@ def test_check_equivalence_refuses_more_states_than_the_state_limit():
     # The closure keeps a state per position, 5; the product meets 3 pairs.
     p = parse_program("+f.m ; g.n ; #1 ; #1 ; !")
     assert check_equivalence(p, p, ToolParams(state_limit=5)).checked == 3
-    with pytest.raises(ValueError, match="^closure exceeds the state limit of 4 states$"):
+    with pytest.raises(StateLimitExceeded, match="^closure exceeds the state limit of 4 states$"):
         check_equivalence(p, p, ToolParams(state_limit=4))
     # Loops of two and of three requests: closures of 3 and 4 states, and
     # a product of 6 pairs.
     p = parse_program("f.m ; f.m ; \\#2")
     q = parse_program("f.m ; f.m ; f.m ; \\#3")
     assert check_equivalence(p, q, ToolParams(state_limit=6)).checked == 6
-    with pytest.raises(ValueError, match="^check product exceeds the state limit of 5 pairs$"):
+    with pytest.raises(StateLimitExceeded, match="^check product exceeds the state limit of 5 pairs$"):
         check_equivalence(p, q, ToolParams(state_limit=5))
 
 
@@ -600,7 +601,7 @@ def test_dispatch_checks_output_length_against_state_limit():
     # 3 bit writes + an 18-instruction decision tree + the halt.
     p = parse_program("set:1:7 ; i#1 ; !")
     assert len(dispatch_project(p, ToolParams(maxr=1, maxn=7, state_limit=22)).output) == 22
-    with pytest.raises(ValueError, match="dispatch output of 22 instructions"):
+    with pytest.raises(StateLimitExceeded, match="^dispatch output of 22 instructions exceeds the state limit of 21$"):
         dispatch_project(p, ToolParams(maxr=1, maxn=7, state_limit=21))
 
 

@@ -399,11 +399,11 @@ def execute_outcome(interpreter, p, cfg, limit):
 
 
 def assert_same_runs(p, cfg, limit, most=40) -> list:
-    """`execute` and `reference_execute` agree from `cfg` and, as `check`
-    resumes runs, from every running configuration either returns: a
-    step-limit cut runs on with its own oracle, a waiting run with a
-    fresh one-reply script of each reply.  Stops after `most` calls.
-    Returns the outcomes."""
+    """`execute` and `reference_execute` agree from `cfg` and, since
+    `execute` resumes from its own end configurations, from every running
+    configuration either returns: a step-limit cut runs on with its own
+    oracle, a waiting run with a fresh one-reply script of each reply.
+    Stops after `most` calls.  Returns the outcomes."""
     pending = [cfg]
     outcomes = []
     while pending and len(outcomes) < most:
@@ -541,7 +541,7 @@ def test_reply_free_cycles_match_the_reference(monkeypatch):
         lap = laps[-1]
         assert lap % lap_of(events) == 0, name
         # Every limit up to 40, and limits around the first detection and
-        # whole laps after it; each run resumed as `check` resumes it.
+        # whole laps after it; each run resumed from its own end configuration.
         limits = set(range(1, 40)) | {4096} | {
             first + k * lap + d for k in (0, 1, 2, 7, 64) for d in (-1, 0, 1)
         }
